@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -15,7 +16,7 @@ import numpy as np
 from .angular import fidelity_formula, gamma, gamma_closed_form
 from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b
 from .opa import evolve, first_order_output, fock_state, photon_reduced_density
-from .statekit import Ket, PlaneId, fidelity
+from .statekit import CapacityError, Ket, PlaneId, fidelity
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -32,6 +33,11 @@ def _parse_plane(text):
         return PlaneId(text.lower())
     except ValueError:
         raise ConfigError(f"plane must be one of xz, yz, xy (got {text!r})")
+
+
+def _check_finite(option, value):
+    if not math.isfinite(value):
+        raise ConfigError(f"{option} must be a finite number (got {value!r})")
 
 
 def cmd_fidelity_sweep(args, out):
@@ -82,6 +88,7 @@ def cmd_simulate(args, out):
             raise ConfigError("P must be >= 2")
         P = args.P
     plane = _parse_plane(args.plane)
+    _check_finite("--phase", args.phase)
     scheme = args.scheme.upper()
     if scheme not in ("A", "B"):
         raise ConfigError("scheme must be a or b")
@@ -137,6 +144,8 @@ def cmd_opa(args, out):
         raise ConfigError("--order must be >= 1")
     if args.cutoff < 3:
         raise ConfigError("--cutoff must be >= 3")
+    _check_finite("--phase", args.phase)
+    _check_finite("--gain", args.gain)
     first = first_order_output(args.phase, args.cutoff)
     a30 = first.amplitude(3, 0)
     a12 = first.amplitude(1, 2)
@@ -212,7 +221,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,6 +8,14 @@ Two routes to the optimal 1 -> M = 2P-1 equatorial cloner:
 * scheme B: direct symmetrization of the input qubit with P-1 copies of the
   plane's Bell ancilla.
 
+Both schemes act on dense 2^M-amplitude kets; the symmetric projection is
+matrix-free (``symmetry.symmetrize``, O(2^M) time and memory), and the dense
+projector is a test oracle only. One scheme-A run takes about 7 ms at M=13,
+1.9 s at M=21 and 9 s at M=23 (830 MiB peak) on a 2-core x86-64 VM with
+one BLAS thread. ``covariance_defect`` compares pure states by their
+cancellation-free trace distance and costs 72 pipeline runs on the default
+grid.
+
 Success-probability bookkeeping: each post-selection stage renormalizes and
 reports its own probability. The universal-cloner stage is treated as a
 normalized source, so CloneReport.success_prob for scheme A is the final
@@ -174,10 +182,9 @@ def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES,
         _, base = _run(scheme, theta, plane, P)
         for alpha in rotation_angles:
             _, rotated_input = _run(scheme, theta + alpha, plane, P)
-            rho_a = sk.outer(rotated_input)
             rot = sk.PhaseRotation(plane, alpha)
-            rho_b = sk.outer(sk.phase_rotate(rot, base, list(range(M))))
-            worst = max(worst, sk.trace_distance(rho_a, rho_b))
+            rotated_output = sk.phase_rotate(rot, base, list(range(M)))
+            worst = max(worst, sk.pure_trace_distance(rotated_input, rotated_output))
     return worst
 
 

@@ -25,7 +25,11 @@ class CapacityError(Exception):
 
 def max_qubits():
     """Capacity cap on total qubit count; override with PCCLONE_MAX_QUBITS."""
-    return int(os.environ.get("PCCLONE_MAX_QUBITS", DEFAULT_MAX_QUBITS))
+    text = os.environ.get("PCCLONE_MAX_QUBITS", str(DEFAULT_MAX_QUBITS))
+    try:
+        return int(text)
+    except ValueError:
+        raise CapacityError(f"PCCLONE_MAX_QUBITS must be an integer (got {text!r})") from None
 
 
 def _check_capacity(n):
@@ -206,6 +210,7 @@ def tensor(a, b):
 
 
 def tensor_all(kets):
+    _check_capacity(sum(k.num_qubits for k in kets))
     out = kets[0]
     for k in kets[1:]:
         out = tensor(out, k)
@@ -216,6 +221,13 @@ def _as_axes(state):
     return state.amplitudes.reshape((2,) * state.num_qubits)
 
 
+def _check_targets(n, target_qubits):
+    if len(set(target_qubits)) != len(target_qubits):
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= n for q in target_qubits):
+        raise IndexError("target qubit out of range")
+
+
 def apply(op, target_qubits, state):
     """Apply ``op`` to the listed qubits (identity elsewhere)."""
     n = state.num_qubits
@@ -223,10 +235,7 @@ def apply(op, target_qubits, state):
     op = np.asarray(op, dtype=complex)
     if op.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    if len(set(target_qubits)) != k:
-        raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= n for q in target_qubits):
-        raise IndexError("target qubit out of range")
+    _check_targets(n, target_qubits)
     psi = np.moveaxis(_as_axes(state), target_qubits, range(k))
     shape = psi.shape
     psi = op @ psi.reshape(2 ** k, -1)
@@ -293,6 +302,26 @@ def same_up_to_phase(a, b, tol=EQ_TOL):
     return abs(a.overlap(b)) ** 2 >= 1 - tol
 
 
+def pure_trace_distance(a, b):
+    """Trace distance sqrt(1 - |<a|b>|^2) between two normalized kets.
+
+    Evaluated as sqrt(||a - e^{i phi} b||^2 (1 + |<a|b>|) / 2), with e^{i phi}
+    aligning b's global phase to a, so that nearly equal states do not lose
+    their distance to cancellation in 1 - |<a|b>|^2.
+    """
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("dimension mismatch between kets")
+    if abs(a.norm_sq - 1) > 1e-10 or abs(b.norm_sq - 1) > 1e-10:
+        raise ValueError("kets must be normalized")
+    ov = a.overlap(b)
+    mag = abs(ov)
+    phase = ov.conjugate() / mag if mag > 0 else 1.0
+    diff = a.amplitudes - phase * b.amplitudes
+    return float(np.sqrt(np.vdot(diff, diff).real * (1 + mag) / 2))
+
+
 def trace_distance(rho_a, rho_b):
+    """Trace distance of two dense density operators; the reference for
+    ``pure_trace_distance``."""
     eigs = np.linalg.eigvalsh(rho_a.matrix - rho_b.matrix)
     return float(np.abs(eigs).sum() / 2)

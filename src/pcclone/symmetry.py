@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .statekit import Ket, _check_capacity, apply
+from .statekit import Ket, _check_capacity, _check_targets, apply
 
 
 class VanishingProjectionError(Exception):
@@ -70,6 +70,35 @@ def symmetric_projector(n, basis=None):
     return SymProjector(n, mat)
 
 
+def symmetrize(state, subset):
+    """Apply the symmetric-subspace projector on the subset qubits, matrix-free.
+
+    The projector is sum_k |D_k><D_k| over the Dicke states of the subset, so
+    each amplitude becomes the mean of the amplitudes whose subset bits have
+    the same Hamming weight. Time and memory are O(2^n) in the register size;
+    ``symmetric_projector`` stays as the dense reference.
+    """
+    n = state.num_qubits
+    k = len(subset)
+    _check_targets(n, subset)
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), subset, range(k))
+    shape = psi.shape
+    psi = psi.reshape(2 ** k, -1)
+    cols = psi.shape[1]
+    weight = np.zeros(1, dtype=np.intp)  # Hamming weight of each subset index
+    for _ in range(k):
+        weight = np.concatenate((weight, weight + 1))
+    bins = (weight[:, None] * cols + np.arange(cols)).ravel()
+    size = (k + 1) * cols
+    sums = np.bincount(bins, psi.real.ravel(), size) + 1j * np.bincount(
+        bins, psi.imag.ravel(), size
+    )
+    counts = np.array([comb(k, w) for w in range(k + 1)], dtype=float)
+    means = sums.reshape(k + 1, cols) / counts[:, None]
+    out = np.moveaxis(means[weight].reshape(shape), range(k), subset)
+    return Ket(n, out.reshape(-1))
+
+
 def project_and_postselect(state, subset):
     """Apply the symmetrizer to the subset qubits and post-select.
 
@@ -77,8 +106,7 @@ def project_and_postselect(state, subset):
     projected state). The success probability is the squared norm of the
     projected state before renormalization.
     """
-    proj = symmetric_projector(len(subset))
-    projected = apply(proj.matrix, subset, state)
+    projected = symmetrize(state, subset)
     success = projected.norm_sq
     if success < 1e-14:
         raise VanishingProjectionError(

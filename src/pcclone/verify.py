@@ -125,6 +125,17 @@ def symmetry_checks():
             for k in range(n + 1)
         )
         checks.append((f"dicke-weight vs projection prob n={n}", abs(success - dicke_sum), 1e-12))
+
+        worst = 0.0
+        for _ in range(8):
+            k = int(rng.integers(1, n + 1))
+            subset = [int(q) for q in rng.permutation(n)[:k]]
+            amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            psi = sk.Ket(n, amps).normalized()
+            dense = sk.apply(sym.symmetric_projector(k).matrix, subset, psi)
+            fast = sym.symmetrize(psi, subset)
+            worst = max(worst, float(np.max(np.abs(fast.amplitudes - dense.amplitudes))))
+        checks.append((f"matrix-free projection == dense projector n={n}", worst, 1e-14))
     for P in (2, 3):
         checks.append((f"concatenation defect P={P}", sym.concatenation_defect(P), 1e-12))
     return checks

@@ -92,6 +92,24 @@ class TestSimulate:
         assert code == 2
         assert "plane" in err
 
+    @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_rejected(self, capsys, phase):
+        code, out, err = run_cli(capsys, "simulate", "--M", "3", f"--phase={phase}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--phase" in err
+
+    def test_bad_qubit_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PCCLONE_MAX_QUBITS", "abc")
+        code, _, err = run_cli(capsys, "simulate", "--M", "3")
+        assert code == 2
+        assert err.startswith("error:") and "PCCLONE_MAX_QUBITS" in err
+
+    def test_over_capacity_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--M", "41")
+        assert code == 2
+        assert err.startswith("error:") and "capacity" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["angular", "symmetry"])
@@ -121,3 +139,11 @@ class TestOpa:
     def test_bad_order(self, capsys):
         code, _, _ = run_cli(capsys, "opa", "--order", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--phase", "--gain"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_rejected(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "opa", f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and option in err

@@ -1,5 +1,10 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcclone.angular import b_coef, d_coef, projection_norm_sq
 from pcclone.cloner import (
@@ -11,14 +16,18 @@ from pcclone.cloner import (
     uqcm,
 )
 from pcclone.statekit import (
+    Ket,
     PlaneId,
     apply,
     equatorial_orthogonal,
     equatorial_state,
     fidelity,
+    outer,
     partial_trace,
+    pure_trace_distance,
     same_up_to_phase,
     tensor,
+    trace_distance,
 )
 from pcclone.symmetry import DickeLabel, dicke_state, project_and_postselect
 
@@ -175,6 +184,54 @@ class TestCovariance:
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError):
             covariance_defect(PlaneId.XZ, 2, "A", (), (0.1,))
+
+
+def random_ket(rng, n):
+    return Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
+
+
+class TestPureTraceDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 5))
+    def test_matches_dense(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a, b = random_ket(rng, n), random_ket(rng, n)
+        dense = trace_distance(outer(a), outer(b))
+        assert abs(pure_trace_distance(a, b) - dense) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 8),
+           phase=st.floats(0, 2 * np.pi))
+    def test_global_phase_is_no_distance(self, seed, n, phase):
+        a = random_ket(np.random.default_rng(seed), n)
+        b = Ket(n, np.exp(1j * phase) * a.amplitudes)
+        assert pure_trace_distance(a, b) <= 1e-15
+
+    def test_rejects_unnormalized_and_mismatched(self):
+        a = equatorial_state(PlaneId.XY, 0.2)
+        with pytest.raises(ValueError):
+            pure_trace_distance(a, Ket(1, 2 * a.amplitudes))
+        with pytest.raises(ValueError):
+            pure_trace_distance(a, tensor(a, a))
+
+
+def scheme_b_success(P):
+    return Fraction(2 ** (P - 1), comb(2 * P - 1, P))
+
+
+class TestBeyondDenseProjector:
+    """Points the dense projector could not reach: at M = 15 it alone is 16 GiB."""
+
+    @pytest.mark.parametrize("M", [15, 17])
+    @pytest.mark.parametrize(
+        "run,success", [(pqcm_scheme_a, projection_norm_sq), (pqcm_scheme_b, scheme_b_success)]
+    )
+    def test_fidelity_and_success(self, M, run, success):
+        P = (M + 1) // 2
+        report, _ = run(0.9, PlaneId.YZ, P)
+        opt = (3 * M + 1) / (4 * M)
+        assert all(abs(f - opt) <= 1e-10 for f in report.per_clone_fidelity)
+        assert abs(report.success_prob - float(success(P))) <= 1e-10
 
 
 class TestSchemeEquivalence:

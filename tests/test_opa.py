@@ -130,6 +130,19 @@ class TestReducedDensity:
         rho = photon_reduced_density(fock_state(4, 2, 0))
         assert abs(rho.matrix[0, 0] - 1) < 1e-12
 
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_weak_sector_of_low_gain_evolution(self, N):
+        # the N=5 and N=7 sectors have squared norms 3e-16 and 4e-24
+        phase = 0.37
+        evolved, _ = evolve(fock_state(8, 1, 0, mode_basis=phase), 1e-4, 3)
+        idx = np.arange(81)
+        in_sector = idx // 9 + idx % 9 == N
+        from pcclone.opa import FockVec
+
+        sector = FockVec(8, evolved.amplitudes * in_sector, phase)
+        rho = photon_reduced_density(sector)
+        assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
+
     def test_mixed_sector_rejected(self):
         amps = np.zeros(25, dtype=complex)
         amps[0 * 5 + 1] = 1 / np.sqrt(2)  # |0,1>

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone.statekit import BellKind, Ket, bell_state, same_up_to_phase
+from pcclone.statekit import BellKind, Ket, apply, bell_state, same_up_to_phase
 from pcclone.symmetry import (
     DickeLabel,
     VanishingProjectionError,
@@ -11,6 +11,7 @@ from pcclone.symmetry import (
     dicke_state,
     project_and_postselect,
     symmetric_projector,
+    symmetrize,
 )
 
 
@@ -119,3 +120,24 @@ def test_dicke_weights_match_projection_probability(seed):
         abs(dicke_state(DickeLabel(n, k)).overlap(psi)) ** 2 for k in range(n + 1)
     )
     assert abs(success - weight) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), data=st.data())
+def test_symmetrize_matches_dense_projector(seed, n, data):
+    subset = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    rng = np.random.default_rng(seed)
+    psi = Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
+    dense = apply(symmetric_projector(len(subset)).matrix, subset, psi)
+    fast = symmetrize(psi, subset)
+    assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-14
+
+
+def test_symmetrize_rejects_bad_subset():
+    psi = dicke_state(DickeLabel(3, 1))
+    with pytest.raises(ValueError):
+        symmetrize(psi, [0, 0])
+    with pytest.raises(IndexError):
+        symmetrize(psi, [1, 3])
