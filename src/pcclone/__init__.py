@@ -23,7 +23,6 @@ from .cloner import (
     uqcm,
 )
 from .opa import (
-    BosonOp,
     FockVec,
     build_hamiltonian,
     evolve,
@@ -47,7 +46,6 @@ from .statekit import (
 )
 from .symmetry import (
     DickeLabel,
-    SymProjector,
     VanishingProjectionError,
     concatenation_defect,
     dicke_state,

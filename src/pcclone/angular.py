@@ -55,9 +55,6 @@ class HalfInt:
     def __lt__(self, other):
         return self.twice < other.twice
 
-    def is_integer(self):
-        return self.twice % 2 == 0
-
 
 @dataclass(frozen=True)
 class SignedSqrtRational:
@@ -99,10 +96,6 @@ class SignedSqrtRational:
     def square(self):
         """Exact rational self**2."""
         return self.radicand
-
-    def signed_square(self):
-        """Exact rational sign * self**2 (keeps the sign information)."""
-        return self.sign * self.radicand
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

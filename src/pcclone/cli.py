@@ -98,8 +98,7 @@ def cmd_simulate(args, out):
     if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         probes = tuple(rng.uniform(0, 2 * np.pi, 8))
-        angles = tuple(rng.uniform(0, 2 * np.pi, 8))
-        defect = covariance_defect(plane, P, scheme, probes, angles)
+        defect = covariance_defect(plane, P, scheme, probes)
     else:
         defect = covariance_defect(plane, P, scheme)
 
@@ -188,7 +187,6 @@ def build_parser():
 
     p = sub.add_parser("fidelity-sweep", help="check the exact reduced-state weight against its closed form")
     p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="kept for compatibility; the sweep is always exact")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(func=cmd_fidelity_sweep)
 

@@ -17,8 +17,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .statekit import Ket, partial_trace
-from .symmetry import DickeLabel, dicke_state
+from .symmetry import dicke_reduced_density
 
 
 class CutoffOverflowError(Exception):
@@ -50,12 +49,6 @@ class FockVec:
         return complex(self.amplitudes[m * (self.cutoff + 1) + n])
 
 
-@dataclass(frozen=True)
-class BosonOp:
-    cutoff: int
-    matrix: np.ndarray
-
-
 def fock_state(cutoff, m, n, mode_basis="HV"):
     amps = np.zeros((cutoff + 1) ** 2, dtype=complex)
     amps[m * (cutoff + 1) + n] = 1.0
@@ -73,6 +66,12 @@ def mode_operators(cutoff):
     return np.kron(a, eye), np.kron(eye, a)
 
 
+def _rotated_pair_hamiltonian(x_dag, y_dag, phi):
+    """(1/2) i e^{-i phi} (X^dag^2 - e^{2i phi} Y^dag^2) + h.c."""
+    h = 0.5j * np.exp(-1j * phi) * (x_dag @ x_dag - np.exp(2j * phi) * y_dag @ y_dag)
+    return h + h.conj().T
+
+
 def build_hamiltonian(cutoff, phi=None):
     """Pair-creation Hamiltonian i a_H^dag a_V^dag + h.c. (chi*hbar = 1).
 
@@ -86,13 +85,10 @@ def build_hamiltonian(cutoff, phi=None):
     a1, a2 = mode_operators(cutoff)
     if phi is None:
         h = 1j * (a1.conj().T @ a2.conj().T)
-        return BosonOp(cutoff, h + h.conj().T)
+        return h + h.conj().T
     aphi_d = (a1.conj().T + np.exp(1j * phi) * a2.conj().T) / sqrt(2)
     aperp_d = (-np.exp(-1j * phi) * a1.conj().T + a2.conj().T) / sqrt(2)
-    h = 0.5j * np.exp(-1j * phi) * (
-        aphi_d @ aphi_d - np.exp(2j * phi) * aperp_d @ aperp_d
-    )
-    return BosonOp(cutoff, h + h.conj().T)
+    return _rotated_pair_hamiltonian(aphi_d, aperp_d, phi)
 
 
 def hamiltonian_in_rotated_modes(cutoff, phi):
@@ -101,10 +97,7 @@ def hamiltonian_in_rotated_modes(cutoff, phi):
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3 to hold the 3-photon sector")
     a1, a2 = mode_operators(cutoff)
-    h = 0.5j * np.exp(-1j * phi) * (
-        a1.conj().T @ a1.conj().T - np.exp(2j * phi) * a2.conj().T @ a2.conj().T
-    )
-    return BosonOp(cutoff, h + h.conj().T)
+    return _rotated_pair_hamiltonian(a1.conj().T, a2.conj().T, phi)
 
 
 def _hamiltonian_for(state):
@@ -128,7 +121,7 @@ def evolve(state, gain, order):
         raise ValueError("order must be >= 1")
     if abs(gain) > 0.5:
         warnings.warn("perturbative series is unreliable for |gain| > 0.5")
-    h = _hamiltonian_for(state).matrix
+    h = _hamiltonian_for(state)
     term = state.amplitudes.copy()
     acc = term.copy()
     for j in range(1, order + 1):
@@ -152,7 +145,7 @@ def first_order_output(phase, cutoff=6):
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
     injected = fock_state(cutoff, 1, 0, mode_basis=float(phase))
-    h = hamiltonian_in_rotated_modes(cutoff, phase).matrix
+    h = hamiltonian_in_rotated_modes(cutoff, phase)
     return FockVec(cutoff, -1j * (h @ injected.amplitudes), float(phase))
 
 
@@ -218,9 +211,9 @@ def photon_reduced_density(state):
     """Single-photon polarization density matrix of a fixed-N Fock state.
 
     Maps the symmetric N-photon sector to N qubits (|m, N-m> <-> Dicke state
-    with N-m excitations in the orthogonal polarization) and traces out all
-    but one qubit. The qubit basis pair is the state's mode basis expressed
-    over {|H>, |V>} = {|0>, |1>}.
+    with N-m excitations in the orthogonal polarization) and takes the
+    reduced state of one qubit from the N+1 Dicke coefficients. The qubit
+    basis pair is the state's mode basis expressed over {|H>, |V>} = {|0>, |1>}.
     """
     c = state.cutoff
     sector_weight = {}
@@ -237,11 +230,5 @@ def photon_reduced_density(state):
     off = total - sector_weight[big_n]
     if off > 1e-10 * total or big_n < 1:
         raise ValueError("state must be supported on a single photon-number sector N >= 1")
-    basis = _single_particle(state.mode_basis)
-    acc = np.zeros(2 ** big_n, dtype=complex)
-    for m in range(big_n + 1):
-        a = state.amplitude(m, big_n - m)
-        if a != 0:
-            acc += a * dicke_state(DickeLabel(big_n, big_n - m), basis).amplitudes
-    ket = Ket(big_n, acc / np.linalg.norm(acc))
-    return partial_trace(ket, [0])
+    coeffs = [state.amplitude(big_n - k, k) for k in range(big_n + 1)]
+    return dicke_reduced_density(coeffs, _single_particle(state.mode_basis))

@@ -90,10 +90,6 @@ class DensityOp:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def trace(self):
-        return float(np.trace(self.matrix).real)
-
 
 class BellKind(Enum):
     PhiPlus = "phi+"

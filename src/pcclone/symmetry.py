@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .statekit import Ket, _check_capacity, _check_targets, apply
+from .statekit import DensityOp, Ket, _check_capacity, _check_targets, apply
 
 
 class VanishingProjectionError(Exception):
@@ -28,12 +28,6 @@ class DickeLabel:
             raise ValueError("n must be >= 1")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"k={self.k} out of range for n={self.n}")
-
-
-@dataclass(frozen=True)
-class SymProjector:
-    n: int
-    matrix: np.ndarray
 
 
 def dicke_state(label, basis=None):
@@ -67,7 +61,7 @@ def symmetric_projector(n, basis=None):
     for k in range(n + 1):
         v = dicke_state(DickeLabel(n, k), basis).amplitudes
         mat += np.outer(v, v.conj())
-    return SymProjector(n, mat)
+    return mat
 
 
 def symmetrize(state, subset):
@@ -99,6 +93,28 @@ def symmetrize(state, subset):
     return Ket(n, out.reshape(-1))
 
 
+def dicke_reduced_density(coeffs, basis=None):
+    """Normalized one-qubit reduced state of sum_k c_k |D_k>, in O(n).
+
+    |D_k> has k of its n qubits in |phi_perp>; ``basis`` has the columns
+    {|phi>, |phi_perp>} (default: computational). Every qubit of a symmetric
+    state has this state: rho_00 = sum |c_k|^2 (n-k)/n and
+    rho_01 = sum c_k conj(c_{k+1}) sqrt((n-k)(k+1))/n.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    n = len(c) - 1
+    weight = float(np.vdot(c, c).real)
+    if n < 1 or weight == 0:
+        raise ValueError("need a nonzero state on at least one qubit")
+    rho00 = float(np.abs(c) ** 2 @ np.arange(n, -1, -1)) / n
+    root = np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1))  # sqrt((n-k)(k+1))
+    rho01 = complex(c[:-1] @ (c[1:].conj() * root)) / n
+    rho = np.array([[rho00, rho01], [rho01.conjugate(), weight - rho00]]) / weight
+    if basis is not None:
+        rho = basis @ rho @ basis.conj().T
+    return DensityOp(1, rho)
+
+
 def project_and_postselect(state, subset):
     """Apply the symmetrizer to the subset qubits and post-select.
 
@@ -121,9 +137,9 @@ def concatenation_defect(P):
         raise ValueError("P must be >= 1")
     n = 2 * P - 1
     _check_capacity(n)
-    big = symmetric_projector(n).matrix
+    big = symmetric_projector(n)
     if P == 1:
         small = np.eye(2, dtype=complex)
     else:
-        small = np.kron(symmetric_projector(P).matrix, np.eye(2 ** (P - 1)))
+        small = np.kron(symmetric_projector(P), np.eye(2 ** (P - 1)))
     return float(np.max(np.abs(big @ small - big)))

@@ -93,14 +93,14 @@ def symmetry_checks():
     checks = []
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
-        ref = sym.symmetric_projector(n).matrix
+        ref = sym.symmetric_projector(n)
         # random rotated basis pair
         theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
         basis = np.array(
             [[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
              [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]]
         )
-        rot = sym.symmetric_projector(n, basis).matrix
+        rot = sym.symmetric_projector(n, basis)
         checks.append(
             (f"projector basis independence n={n}", float(np.max(np.abs(ref - rot))), 1e-12)
         )
@@ -132,7 +132,7 @@ def symmetry_checks():
             subset = [int(q) for q in rng.permutation(n)[:k]]
             amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
             psi = sk.Ket(n, amps).normalized()
-            dense = sk.apply(sym.symmetric_projector(k).matrix, subset, psi)
+            dense = sk.apply(sym.symmetric_projector(k), subset, psi)
             fast = sym.symmetrize(psi, subset)
             worst = max(worst, float(np.max(np.abs(fast.amplitudes - dense.amplitudes))))
         checks.append((f"matrix-free projection == dense projector n={n}", worst, 1e-14))
@@ -182,7 +182,7 @@ def cloner_checks():
             checks.append((f"reduced state diagonal in-plane P={P} {plane.value}", worst_offdiag, 1e-10))
             checks.append(
                 (f"covariance defect P={P} {plane.value}",
-                 covariance_defect(plane, P, "A", phases[:4], phases[:4]), 1e-10)
+                 covariance_defect(plane, P, "A", phases[:4]), 1e-10)
             )
             checks.append(
                 (f"scheme equivalence P={P} {plane.value}",
@@ -194,11 +194,11 @@ def cloner_checks():
 def opa_checks():
     checks = []
     cutoff = 6
-    h_ref = build_hamiltonian(cutoff).matrix
+    h_ref = build_hamiltonian(cutoff)
     below = _below_boundary_mask(cutoff)
     worst = 0.0
     for phi in (0.0, np.pi / 3, np.pi / 2, 1.2):
-        h_rot = build_hamiltonian(cutoff, phi).matrix
+        h_rot = build_hamiltonian(cutoff, phi)
         worst = max(worst, float(np.max(np.abs((h_rot - h_ref)[np.ix_(below, below)]))))
     checks.append(("rotated Hamiltonian form invariance", worst, 1e-12))
 

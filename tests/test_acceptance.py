@@ -200,7 +200,7 @@ def test_criterion_9_opa():
     interior = (idx // (cutoff + 1) + idx % (cutoff + 1)) <= cutoff - 1
     worst_h = max(
         np.max(np.abs(
-            (build_hamiltonian(cutoff, phi).matrix - build_hamiltonian(cutoff).matrix)
+            (build_hamiltonian(cutoff, phi) - build_hamiltonian(cutoff))
             [np.ix_(interior, interior)]
         ))
         for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False)

@@ -163,15 +163,26 @@ class TestSchemeB:
         assert fid < 5 / 6 - 1e-3
 
 
+class TestCloneFidelities:
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("run", [pqcm_scheme_a, pqcm_scheme_b])
+    def test_match_per_qubit_partial_trace(self, plane, run):
+        for P in range(2, 8):
+            report, final = run(0.4 + P, plane, P)
+            target = equatorial_state(plane, 0.4 + P)
+            for q, f in enumerate(report.per_clone_fidelity):
+                assert abs(f - fidelity(partial_trace(final, [q]), target)) <= 1e-12
+
+
 class TestCovariance:
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_defect_small(self, plane, scheme):
-        defect = covariance_defect(plane, 2, scheme, (0.0, 1.3), (0.0, 0.9, 2.1))
+        defect = covariance_defect(plane, 2, scheme, (0.0, 0.9, 1.3, 2.1))
         assert defect <= 1e-10
 
     def test_zero_angle_exact(self):
-        defect = covariance_defect(PlaneId.XY, 2, "A", (0.7,), (0.0,))
+        defect = covariance_defect(PlaneId.XY, 2, "A", (0.7,))
         assert defect <= 1e-13
 
     def test_success_prob_phase_independent(self):
@@ -183,7 +194,7 @@ class TestCovariance:
 
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError):
-            covariance_defect(PlaneId.XZ, 2, "A", (), (0.1,))
+            covariance_defect(PlaneId.XZ, 2, "A", ())
 
 
 def random_ket(rng, n):

@@ -29,11 +29,11 @@ def qubit_phi_perp(phase):
 
 class TestHamiltonian:
     def test_hermitian(self):
-        h = build_hamiltonian(5).matrix
+        h = build_hamiltonian(5)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_pair_creation_element(self):
-        h = build_hamiltonian(4).matrix
+        h = build_hamiltonian(4)
         dim = 5
         amp = h[1 * dim + 1, 0]  # <1,1|H|0,0>
         assert abs(amp - 1j) < 1e-14
@@ -41,8 +41,8 @@ class TestHamiltonian:
     @pytest.mark.parametrize("phi", [0.0, np.pi / 3, np.pi / 2, 1.2])
     def test_rotated_form_invariance(self, phi):
         cutoff = 6
-        ref = build_hamiltonian(cutoff).matrix
-        rot = build_hamiltonian(cutoff, phi).matrix
+        ref = build_hamiltonian(cutoff)
+        rot = build_hamiltonian(cutoff, phi)
         mask = below_boundary(cutoff)
         assert np.max(np.abs((rot - ref)[np.ix_(mask, mask)])) < 1e-12
 
@@ -141,6 +141,17 @@ class TestReducedDensity:
 
         sector = FockVec(8, evolved.amplitudes * in_sector, phase)
         rho = photon_reduced_density(sector)
+        assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
+
+    @pytest.mark.parametrize("N", range(3, 20, 2))
+    def test_sector_of_amplifier_evolution(self, N):
+        phase = 0.8
+        evolved, _ = evolve(fock_state(20, 1, 0, mode_basis=phase), 0.3, 9)
+        idx = np.arange(21 ** 2)
+        in_sector = idx // 21 + idx % 21 == N
+        from pcclone.opa import FockVec
+
+        rho = photon_reduced_density(FockVec(20, evolved.amplitudes * in_sector, phase))
         assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
 
     def test_mixed_sector_rejected(self):

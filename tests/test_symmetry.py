@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone.statekit import BellKind, Ket, apply, bell_state, same_up_to_phase
+from pcclone.statekit import BellKind, Ket, apply, bell_state, partial_trace, same_up_to_phase
 from pcclone.symmetry import (
     DickeLabel,
     VanishingProjectionError,
     concatenation_defect,
+    dicke_reduced_density,
     dicke_state,
     project_and_postselect,
     symmetric_projector,
@@ -43,26 +44,26 @@ def test_dicke_label_validation():
 
 def test_projector_rank_three_qubits():
     proj = symmetric_projector(3)
-    rank = int((np.linalg.eigvalsh(proj.matrix) > 0.5).sum())
+    rank = int((np.linalg.eigvalsh(proj) > 0.5).sum())
     assert rank == 4
 
 
 def test_projector_idempotent_hermitian():
-    mat = symmetric_projector(3).matrix
+    mat = symmetric_projector(3)
     assert np.max(np.abs(mat @ mat - mat)) < 1e-12
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
 def test_projector_annihilates_singlet():
     singlet = bell_state(BellKind.PsiMinus)
-    out = symmetric_projector(2).matrix @ singlet.amplitudes
+    out = symmetric_projector(2) @ singlet.amplitudes
     assert np.max(np.abs(out)) < 1e-14
 
 
 def test_projector_on_01():
     amps = np.zeros(4)
     amps[1] = 1.0
-    out = symmetric_projector(2).matrix @ amps
+    out = symmetric_projector(2) @ amps
     np.testing.assert_allclose(out, [0, 0.5, 0.5, 0], atol=1e-14)
     assert abs(np.vdot(out, out).real - 0.5) < 1e-14
 
@@ -72,8 +73,8 @@ def test_basis_independence():
     basis = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex
     )
-    a = symmetric_projector(3).matrix
-    b = symmetric_projector(3, basis).matrix
+    a = symmetric_projector(3)
+    b = symmetric_projector(3, basis)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -130,9 +131,26 @@ def test_symmetrize_matches_dense_projector(seed, n, data):
     )
     rng = np.random.default_rng(seed)
     psi = Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
-    dense = apply(symmetric_projector(len(subset)).matrix, subset, psi)
+    dense = apply(symmetric_projector(len(subset)), subset, psi)
     fast = symmetrize(psi, subset)
     assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 8), rotated=st.booleans())
+def test_dicke_reduced_density_matches_partial_trace(seed, n, rotated):
+    rng = np.random.default_rng(seed)
+    psi = Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+    psi = symmetrize(psi, list(range(n))).normalized()
+    coeffs = [dicke_state(DickeLabel(n, k)).overlap(psi) for k in range(n + 1)]
+    basis = None
+    if rotated:
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for q in range(n):
+            psi = apply(basis, [q], psi)
+    rho = dicke_reduced_density(coeffs, basis).matrix
+    for q in range(n):
+        assert np.max(np.abs(rho - partial_trace(psi, [q]).matrix)) <= 1e-12
 
 
 def test_symmetrize_rejects_bad_subset():
