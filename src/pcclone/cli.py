@@ -15,7 +15,7 @@ import numpy as np
 
 from .angular import fidelity_formula, gamma, gamma_closed_form
 from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b
-from .opa import evolve, first_order_output, fock_state, photon_reduced_density
+from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
 from .statekit import CapacityError, Ket, PlaneId, fidelity
 from .verify import run_suite
 
@@ -219,7 +219,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ConfigError, CapacityError) as exc:
+    except (ConfigError, CapacityError, CutoffOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,13 +7,20 @@ phase phi tagging the rotated pair {phi, phi_perp} with
 a_phi = (a_H + e^{-i phi} a_V)/sqrt2 (dagger convention as in the rotated
 Hamiltonian form). Units: the coupling chi*hbar is set to 1, so "gain" is
 the dimensionless interaction time chi*t.
+
+The Hamiltonian is never stored: ``evolve`` and ``first_order_output`` apply
+it matrix-free from its matrix elements, O((c+1)^2) per application, so the
+cutoff is limited by the series, not by a (c+1)^2 x (c+1)^2 matrix.
+``build_hamiltonian`` and ``hamiltonian_in_rotated_modes`` tabulate the same
+action on the identity for tests and checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from functools import partial
+from math import comb, factorial, perm, sqrt
 
 import numpy as np
 
@@ -55,55 +62,45 @@ def fock_state(cutoff, m, n, mode_basis="HV"):
     return FockVec(cutoff, amps, mode_basis)
 
 
-def _destroy(cutoff):
-    return np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1).astype(complex)
+def _apply_hamiltonian(basis, cutoff, amps):
+    """H applied to amplitudes of shape ((c+1)^2, ...) written in ``basis``.
 
-
-def mode_operators(cutoff):
-    """(a1, a2) annihilation matrices on the two-mode truncated space."""
-    a = _destroy(cutoff)
-    eye = np.eye(cutoff + 1)
-    return np.kron(a, eye), np.kron(eye, a)
-
-
-def _rotated_pair_hamiltonian(x_dag, y_dag, phi):
-    """(1/2) i e^{-i phi} (X^dag^2 - e^{2i phi} Y^dag^2) + h.c."""
-    h = 0.5j * np.exp(-1j * phi) * (x_dag @ x_dag - np.exp(2j * phi) * y_dag @ y_dag)
-    return h + h.conj().T
-
-
-def build_hamiltonian(cutoff, phi=None):
-    """Pair-creation Hamiltonian i a_H^dag a_V^dag + h.c. (chi*hbar = 1).
-
-    With ``phi`` given, builds instead the algebraically equivalent rotated
-    form (1/2) i e^{-i phi} (a_phi^dag^2 - e^{2i phi} a_phiperp^dag^2) + h.c.
-    out of composite mode operators; U(1) invariance makes the two matrices
-    agree away from the truncation boundary.
+    H is a sum of terms g a1^dag^p a2^dag^q + h.c.; a1^dag^p a2^dag^q moves
+    (m, n) to (m+p, n+q) with weight sqrt((m+1)...(m+p) (n+1)...(n+q)) and its
+    adjoint moves it back. In HV, H = i a_H^dag a_V^dag + h.c.; in the
+    {phi, phi_perp} pair the same H reads
+    (1/2) i e^{-i phi} (a1^dag^2 - e^{2i phi} a2^dag^2) + h.c.
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3 to hold the 3-photon sector")
-    a1, a2 = mode_operators(cutoff)
-    if phi is None:
-        h = 1j * (a1.conj().T @ a2.conj().T)
-        return h + h.conj().T
-    aphi_d = (a1.conj().T + np.exp(1j * phi) * a2.conj().T) / sqrt(2)
-    aperp_d = (-np.exp(-1j * phi) * a1.conj().T + a2.conj().T) / sqrt(2)
-    return _rotated_pair_hamiltonian(aphi_d, aperp_d, phi)
+    if basis == "HV":
+        terms = [(1, 1, 1j)]
+    else:
+        phi = float(basis)
+        lead = 0.5j * np.exp(-1j * phi)
+        terms = [(2, 0, lead), (0, 2, -lead * np.exp(2j * phi))]
+    side = cutoff + 1
+    psi = amps.reshape(side, side, -1)
+    out = np.zeros(psi.shape, dtype=complex)
+    for p, q, g in terms:
+        w = np.sqrt(np.outer(
+            [perm(k + p, p) for k in range(side - p)], [perm(k + q, q) for k in range(side - q)]
+        ))[:, :, None]
+        out[p:, q:] += g * w * psi[: side - p, : side - q]
+        out[: side - p, : side - q] += np.conj(g) * w * psi[p:, q:]
+    return out.reshape(amps.shape)
+
+
+def build_hamiltonian(cutoff):
+    """Pair-creation Hamiltonian i a_H^dag a_V^dag + h.c. (chi*hbar = 1) as a
+    dense (c+1)^2 x (c+1)^2 matrix, tabulated from the matrix-free action."""
+    return _apply_hamiltonian("HV", cutoff, np.eye((cutoff + 1) ** 2, dtype=complex))
 
 
 def hamiltonian_in_rotated_modes(cutoff, phi):
     """The same Hamiltonian written on amplitudes in the {phi, phi_perp} basis:
-    (1/2) i e^{-i phi}(a1^dag^2 - e^{2i phi} a2^dag^2) + h.c. with standard ops."""
-    if cutoff < 3:
-        raise ValueError("cutoff must be >= 3 to hold the 3-photon sector")
-    a1, a2 = mode_operators(cutoff)
-    return _rotated_pair_hamiltonian(a1.conj().T, a2.conj().T, phi)
-
-
-def _hamiltonian_for(state):
-    if state.mode_basis == "HV":
-        return build_hamiltonian(state.cutoff)
-    return hamiltonian_in_rotated_modes(state.cutoff, float(state.mode_basis))
+    (1/2) i e^{-i phi}(a1^dag^2 - e^{2i phi} a2^dag^2) + h.c., as a dense matrix."""
+    return _apply_hamiltonian(phi, cutoff, np.eye((cutoff + 1) ** 2, dtype=complex))
 
 
 def _boundary_population(cutoff, amps):
@@ -121,13 +118,13 @@ def evolve(state, gain, order):
         raise ValueError("order must be >= 1")
     if abs(gain) > 0.5:
         warnings.warn("perturbative series is unreliable for |gain| > 0.5")
-    h = _hamiltonian_for(state)
+    h = partial(_apply_hamiltonian, state.mode_basis, state.cutoff)
     term = state.amplitudes.copy()
     acc = term.copy()
     for j in range(1, order + 1):
-        term = (-1j * gain / j) * (h @ term)
+        term = (-1j * gain / j) * h(term)
         acc = acc + term
-    remainder = float(np.linalg.norm((-1j * gain / (order + 1)) * (h @ term)))
+    remainder = float(np.linalg.norm((-1j * gain / (order + 1)) * h(term)))
     if _boundary_population(state.cutoff, acc) > 1e-8:
         raise CutoffOverflowError(
             "series pushed population onto the truncation boundary; raise the cutoff"
@@ -145,8 +142,8 @@ def first_order_output(phase, cutoff=6):
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
     injected = fock_state(cutoff, 1, 0, mode_basis=float(phase))
-    h = hamiltonian_in_rotated_modes(cutoff, phase)
-    return FockVec(cutoff, -1j * (h @ injected.amplitudes), float(phase))
+    amps = _apply_hamiltonian(float(phase), cutoff, injected.amplitudes)
+    return FockVec(cutoff, -1j * amps, float(phase))
 
 
 def change_mode_basis(state, new_basis):
@@ -215,18 +212,14 @@ def photon_reduced_density(state):
     reduced state of one qubit from the N+1 Dicke coefficients. The qubit
     basis pair is the state's mode basis expressed over {|H>, |V>} = {|0>, |1>}.
     """
-    c = state.cutoff
-    sector_weight = {}
-    for m in range(c + 1):
-        for n in range(c + 1):
-            w = abs(state.amplitude(m, n)) ** 2
-            if w > 0:
-                sector_weight[m + n] = sector_weight.get(m + n, 0.0) + w
-    total = sum(sector_weight.values())
+    k = np.arange(state.cutoff + 1)
+    photons = np.add.outer(k, k).ravel()
+    sector_weight = np.bincount(photons, weights=np.abs(state.amplitudes) ** 2)
+    total = sector_weight.sum()
     if total == 0:
         raise ValueError("zero state")
     # relative test: a weak sector of a low-gain evolution is still a state
-    big_n = max(sector_weight, key=sector_weight.get)
+    big_n = int(np.argmax(sector_weight))
     off = total - sector_weight[big_n]
     if off > 1e-10 * total or big_n < 1:
         raise ValueError("state must be supported on a single photon-number sector N >= 1")

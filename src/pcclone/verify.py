@@ -25,7 +25,7 @@ from .angular import (
     gamma_closed_form,
 )
 from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b, scheme_equivalence_defect
-from .opa import build_hamiltonian, evolve, first_order_output, fock_state, photon_reduced_density
+from . import opa
 
 
 def _exact(flag):
@@ -194,45 +194,46 @@ def cloner_checks():
 def opa_checks():
     checks = []
     cutoff = 6
-    h_ref = build_hamiltonian(cutoff)
-    below = _below_boundary_mask(cutoff)
+    # H in the {phi, phi_perp} pair and then a change to HV, against a change
+    # to HV and then H there, on random states on N <= c-2 (kept under the cutoff)
+    rng = np.random.default_rng(11)
+    idx = np.arange((cutoff + 1) ** 2)
+    low = idx // (cutoff + 1) + idx % (cutoff + 1) <= cutoff - 2
     worst = 0.0
     for phi in (0.0, np.pi / 3, np.pi / 2, 1.2):
-        h_rot = build_hamiltonian(cutoff, phi)
-        worst = max(worst, float(np.max(np.abs((h_rot - h_ref)[np.ix_(below, below)]))))
+        amps = low * (rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+        state = opa.FockVec(cutoff, amps / np.linalg.norm(amps), phi)
+        h_amps = opa.hamiltonian_in_rotated_modes(cutoff, phi) @ state.amplitudes
+        via_rotated = opa.change_mode_basis(opa.FockVec(cutoff, h_amps, phi), "HV").amplitudes
+        via_hv = opa.build_hamiltonian(cutoff) @ opa.change_mode_basis(state, "HV").amplitudes
+        worst = max(worst, float(np.max(np.abs(via_rotated - via_hv))))
     checks.append(("rotated Hamiltonian form invariance", worst, 1e-12))
 
     worst = 0.0
     for phi in (0.0, 0.7, np.pi / 2, 2.5, 4.0, 5.5, 1.1, 3.3):
-        out = first_order_output(phi, cutoff)
+        out = opa.first_order_output(phi, cutoff)
         ratio = out.amplitude(1, 2) / out.amplitude(3, 0)
         expected = -np.sqrt(2 / 6) * np.exp(2j * phi)
         worst = max(worst, abs(ratio - expected))
     checks.append(("first-order amplitude ratio -sqrt(1/3) e^{2i phi}", worst, 1e-10))
 
-    out = first_order_output(0.3, cutoff)
-    rho = photon_reduced_density(out)
+    out = opa.first_order_output(0.3, cutoff)
+    rho = opa.photon_reduced_density(out)
     target = sk.Ket(1, np.array([1, np.exp(1j * 0.3)]) / np.sqrt(2))
     checks.append(("first-order reduced fidelity 5/6", abs(sk.fidelity(rho, target) - 5 / 6), 1e-9))
 
     # roomier cutoff: the perturbative flow from 1 photon must fit well below it
-    injected = fock_state(10, 1, 0, mode_basis=0.2)
+    injected = opa.fock_state(10, 1, 0, mode_basis=0.2)
     prev = 1.0
     mono = True
     deficit = None
     for order in range(1, 13):
-        evolved, _ = evolve(injected, 0.1, order)
+        evolved, _ = opa.evolve(injected, 0.1, order)
         deficit = abs(1 - evolved.norm_sq)
         mono &= deficit <= prev + 1e-15
         prev = deficit
     checks.append(("series norm deficit monotone, order 12 deficit", deficit if mono else 1.0, 1e-10))
     return checks
-
-
-def _below_boundary_mask(cutoff):
-    idx = np.arange((cutoff + 1) ** 2)
-    m, n = idx // (cutoff + 1), idx % (cutoff + 1)
-    return m + n <= cutoff - 1
 
 
 SUITES = {

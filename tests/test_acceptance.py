@@ -25,7 +25,14 @@ from pcclone.cloner import (
     scheme_equivalence_defect,
     uqcm,
 )
-from pcclone.opa import build_hamiltonian, first_order_output, photon_reduced_density
+from pcclone.opa import (
+    FockVec,
+    build_hamiltonian,
+    change_mode_basis,
+    first_order_output,
+    hamiltonian_in_rotated_modes,
+    photon_reduced_density,
+)
 from pcclone.statekit import Ket, PlaneId, equatorial_state, fidelity, partial_trace
 from pcclone.symmetry import concatenation_defect
 
@@ -195,16 +202,19 @@ def test_criterion_9_opa():
         worst_fid = max(
             worst_fid, abs(fidelity(photon_reduced_density(out), target) - 5 / 6)
         )
+    # H in the {phi, phi_perp} pair, then to HV == to HV, then H in HV, on a
+    # random state on N <= cutoff - 2 that H keeps under the cutoff
     cutoff = 6
+    rng = np.random.default_rng(9)
     idx = np.arange((cutoff + 1) ** 2)
-    interior = (idx // (cutoff + 1) + idx % (cutoff + 1)) <= cutoff - 1
-    worst_h = max(
-        np.max(np.abs(
-            (build_hamiltonian(cutoff, phi) - build_hamiltonian(cutoff))
-            [np.ix_(interior, interior)]
-        ))
-        for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False)
-    )
+    low = (idx // (cutoff + 1) + idx % (cutoff + 1)) <= cutoff - 2
+    worst_h = 0.0
+    for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
+        amps = low * (rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+        state = FockVec(cutoff, amps / np.linalg.norm(amps), phi)
+        h_state = FockVec(cutoff, hamiltonian_in_rotated_modes(cutoff, phi) @ state.amplitudes, phi)
+        via_hv = build_hamiltonian(cutoff) @ change_mode_basis(state, "HV").amplitudes
+        worst_h = max(worst_h, np.max(np.abs(change_mode_basis(h_state, "HV").amplitudes - via_hv)))
     elapsed = time.perf_counter() - start
     ok = (
         worst_ratio < 1e-10 and worst_phase < 1e-10

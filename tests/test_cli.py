@@ -112,7 +112,7 @@ class TestSimulate:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["angular", "symmetry"])
+    @pytest.mark.parametrize("suite", ["angular", "symmetry", "opa"])
     def test_single_suite_passes(self, capsys, suite):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
@@ -139,6 +139,17 @@ class TestOpa:
     def test_bad_order(self, capsys):
         code, _, _ = run_cli(capsys, "opa", "--order", "0")
         assert code == 2
+
+    def test_cutoff_overflow_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "opa", "--gain", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cutoff" in err
+
+    def test_large_cutoff(self, capsys):
+        code, out, _ = run_cli(capsys, "opa", "--cutoff", "200", "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out)["reduced_fidelity"] - 5 / 6) < 1e-9
 
     @pytest.mark.parametrize("option", ["--phase", "--gain"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -17,6 +17,7 @@ from pcclone.cloner import (
 )
 from pcclone.statekit import (
     Ket,
+    PhaseRotation,
     PlaneId,
     apply,
     equatorial_orthogonal,
@@ -24,6 +25,7 @@ from pcclone.statekit import (
     fidelity,
     outer,
     partial_trace,
+    phase_rotate,
     pure_trace_distance,
     same_up_to_phase,
     tensor,
@@ -217,6 +219,23 @@ class TestPureTraceDistance:
         a = random_ket(np.random.default_rng(seed), n)
         b = Ket(n, np.exp(1j * phase) * a.amplitudes)
         assert pure_trace_distance(a, b) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 6), plane=st.sampled_from(PLANES),
+           theta_a=st.floats(-2 * np.pi, 2 * np.pi), theta_b=st.floats(-2 * np.pi, 2 * np.pi))
+    def test_rotating_each_side_back(self, seed, n, plane, theta_a, theta_b):
+        # the identity covariance_defect rests on: R(x) R(y) = R(x + y) and
+        # unitary invariance move the relative rotation onto both kets
+        rng = np.random.default_rng(seed)
+        a, b = random_ket(rng, n), random_ket(rng, n)
+        qubits = list(range(n))
+
+        def rotate(angle, ket):
+            return phase_rotate(PhaseRotation(plane, angle), ket, qubits)
+
+        relative = pure_trace_distance(b, rotate(theta_b - theta_a, a))
+        both_back = pure_trace_distance(rotate(-theta_b, b), rotate(-theta_a, a))
+        assert abs(relative - both_back) <= 1e-12
 
     def test_rejects_unnormalized_and_mismatched(self):
         a = equatorial_state(PlaneId.XY, 0.2)

@@ -3,20 +3,25 @@ import pytest
 
 from pcclone.opa import (
     CutoffOverflowError,
+    FockVec,
     build_hamiltonian,
     change_mode_basis,
     evolve,
     first_order_output,
     fock_state,
+    hamiltonian_in_rotated_modes,
     photon_reduced_density,
 )
 from pcclone.statekit import Ket, fidelity
 
 
-def below_boundary(cutoff):
+def low_sector_state(cutoff, mode_basis, rng):
+    """Random normalized state on the sectors N <= cutoff - 2, which H keeps
+    under the cutoff."""
     idx = np.arange((cutoff + 1) ** 2)
-    m, n = idx // (cutoff + 1), idx % (cutoff + 1)
-    return m + n <= cutoff - 1
+    low = idx // (cutoff + 1) + idx % (cutoff + 1) <= cutoff - 2
+    amps = low * (rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+    return FockVec(cutoff, amps / np.linalg.norm(amps), mode_basis)
 
 
 def qubit_phi(phase):
@@ -38,17 +43,33 @@ class TestHamiltonian:
         amp = h[1 * dim + 1, 0]  # <1,1|H|0,0>
         assert abs(amp - 1j) < 1e-14
 
+    @pytest.mark.parametrize("phi", [0.0, 0.9, 2.4, 5.0])
+    def test_rotated_pair_creation_elements(self, phi):
+        h = hamiltonian_in_rotated_modes(4, phi)
+        dim = 5
+        # <2,0|H|0,0> and <0,2|H|0,0> in the {phi, phi_perp} pair
+        assert abs(h[2 * dim + 0, 0] - 1j * np.exp(-1j * phi) / np.sqrt(2)) < 1e-14
+        assert abs(h[0 * dim + 2, 0] + 1j * np.exp(1j * phi) / np.sqrt(2)) < 1e-14
+
     @pytest.mark.parametrize("phi", [0.0, np.pi / 3, np.pi / 2, 1.2])
     def test_rotated_form_invariance(self, phi):
+        # H in the {phi, phi_perp} pair, then to HV == to HV, then H in HV
         cutoff = 6
-        ref = build_hamiltonian(cutoff)
-        rot = build_hamiltonian(cutoff, phi)
-        mask = below_boundary(cutoff)
-        assert np.max(np.abs((rot - ref)[np.ix_(mask, mask)])) < 1e-12
+        state = low_sector_state(cutoff, phi, np.random.default_rng(5))
+        h_state = FockVec(cutoff, hamiltonian_in_rotated_modes(cutoff, phi) @ state.amplitudes, phi)
+        via_hv = build_hamiltonian(cutoff) @ change_mode_basis(state, "HV").amplitudes
+        assert np.max(np.abs(change_mode_basis(h_state, "HV").amplitudes - via_hv)) < 1e-12
 
     def test_cutoff_too_small(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(2)
+        for call in (
+            lambda: build_hamiltonian(2),
+            lambda: hamiltonian_in_rotated_modes(2, 0.3),
+            lambda: first_order_output(0.3, 2),
+            lambda: evolve(fock_state(2, 1, 0, mode_basis=0.3), 0.1, 2),
+            lambda: evolve(fock_state(2, 1, 0), 0.1, 2),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestEvolve:
@@ -137,8 +158,6 @@ class TestReducedDensity:
         evolved, _ = evolve(fock_state(8, 1, 0, mode_basis=phase), 1e-4, 3)
         idx = np.arange(81)
         in_sector = idx // 9 + idx % 9 == N
-        from pcclone.opa import FockVec
-
         sector = FockVec(8, evolved.amplitudes * in_sector, phase)
         rho = photon_reduced_density(sector)
         assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
@@ -149,8 +168,6 @@ class TestReducedDensity:
         evolved, _ = evolve(fock_state(20, 1, 0, mode_basis=phase), 0.3, 9)
         idx = np.arange(21 ** 2)
         in_sector = idx // 21 + idx % 21 == N
-        from pcclone.opa import FockVec
-
         rho = photon_reduced_density(FockVec(20, evolved.amplitudes * in_sector, phase))
         assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
 
@@ -158,10 +175,22 @@ class TestReducedDensity:
         amps = np.zeros(25, dtype=complex)
         amps[0 * 5 + 1] = 1 / np.sqrt(2)  # |0,1>
         amps[1 * 5 + 1] = 1 / np.sqrt(2)  # |1,1>
-        from pcclone.opa import FockVec
-
         with pytest.raises(ValueError):
             photon_reduced_density(FockVec(4, amps))
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10])
+    @pytest.mark.parametrize("off_weight,accepted", [(1e-12, True), (1e-8, False)])
+    def test_off_sector_weight_is_relative(self, scale, off_weight, accepted):
+        amps = np.zeros(25, dtype=complex)
+        amps[2 * 5 + 1] = scale  # |2,1>, N = 3
+        amps[1 * 5 + 1] = scale * np.sqrt(off_weight)  # |1,1>, N = 2
+        state = FockVec(4, amps)
+        if accepted:
+            assert photon_reduced_density(state).matrix.shape == (2, 2)
+        else:
+            with pytest.raises(ValueError):
+                photon_reduced_density(state)
 
 
 class TestModeBasisChange:
@@ -183,8 +212,6 @@ class TestModeBasisChange:
         for m in range(5):
             for n in range(5 - m):
                 amps[m * 7 + n] = rng.normal() + 1j * rng.normal()
-        from pcclone.opa import FockVec
-
         st = FockVec(6, amps / np.linalg.norm(amps))
         rotated = change_mode_basis(st, 1.1)
         assert abs(rotated.norm_sq - 1) < 1e-12
