@@ -151,20 +151,22 @@ def _validate_jm(j, m):
         raise ValueError(f"j-m must be integral (j={j.value}, m={m.value})")
 
 
+def _allowed(j1, j2, m1, m2, J, M):
+    """Validate the labels; False when a selection rule zeroes the coefficient."""
+    for j, m in ((j1, m1), (j2, m2), (J, M)):
+        _validate_jm(j, m)
+    return (m1.twice + m2.twice == M.twice
+            and abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice
+            and (j1.twice + j2.twice + J.twice) % 2 == 0)
+
+
 def cg(j1, j2, m1, m2, J, M):
     """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
 
     Condon-Shortley phase convention. Returns zero (not an error) when the
     selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail.
     """
-    _validate_jm(j1, m1)
-    _validate_jm(j2, m2)
-    _validate_jm(J, M)
-    if m1.twice + m2.twice != M.twice:
-        return SignedSqrtRational.zero()
-    if not (abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice):
-        return SignedSqrtRational.zero()
-    if (j1.twice + j2.twice + J.twice) % 2 != 0:
+    if not _allowed(j1, j2, m1, m2, J, M):
         return SignedSqrtRational.zero()
 
     def f(twice):
@@ -207,23 +209,12 @@ def cg(j1, j2, m1, m2, J, M):
 
 
 def cg_ladder(j1, j2, m1, m2, J, M):
-    """Independent Clebsch-Gordan oracle via ladder-operator recursion.
-
-    Builds the top state |J,J> from the requirement that the raising operator
-    annihilates it (two-term exact recursion, Condon-Shortley sign), then
-    lowers with J- down to M. Exact throughout.
-    """
-    _validate_jm(j1, m1)
-    _validate_jm(j2, m2)
-    _validate_jm(J, M)
-    if m1.twice + m2.twice != M.twice:
+    """Independent Clebsch-Gordan oracle: a lookup in ``ladder_states``."""
+    if not _allowed(j1, j2, m1, m2, J, M):
         return SignedSqrtRational.zero()
-    if not (abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice):
-        return SignedSqrtRational.zero()
-    if (j1.twice + j2.twice + J.twice) % 2 != 0:
-        return SignedSqrtRational.zero()
-    table = _coupled_state(j1.twice, j2.twice, J.twice, M.twice)
-    return table.get(m1.twice, SignedSqrtRational.zero())
+    for tM, table in ladder_states(j1.twice, j2.twice, J.twice):
+        if tM == M.twice:
+            return table.get(m1.twice, SignedSqrtRational.zero())
 
 
 def _lower_factor(twice_j, twice_m):
@@ -231,8 +222,12 @@ def _lower_factor(twice_j, twice_m):
     return Fraction(twice_j * (twice_j + 2) - twice_m * (twice_m - 2), 4)
 
 
-def _coupled_state(tj1, tj2, tJ, tM):
-    """Coefficient table {2*m1: amplitude} of |J,M> over |m1,m2=M-m1>."""
+def ladder_states(tj1, tj2, tJ):
+    """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact.
+
+    Doubled arguments, triangle rule assumed. |J,J> is fixed by J+ |J,J> = 0
+    (Condon-Shortley sign); one J- step per M lowers it through every M.
+    """
     # top state |J,J>: c(m1) / c(m1+1) fixed by J+ |J,J> = 0
     lo = max(-tj1, tJ - tj2)
     coeffs = {tj1: SignedSqrtRational.sqrt(1)}
@@ -246,8 +241,8 @@ def _coupled_state(tj1, tj2, tJ, tM):
     inv = SignedSqrtRational.sqrt(1 / norm_sq)
     coeffs = {k: c * inv for k, c in coeffs.items()}
 
-    tm = tJ
-    while tm > tM:
+    for tm in range(tJ, -tJ, -2):
+        yield tm, coeffs
         denom = SignedSqrtRational.sqrt(_lower_factor(tJ, tm))
         nxt = {}
         for tm1c, c in coeffs.items():
@@ -261,8 +256,7 @@ def _coupled_state(tj1, tj2, tJ, tM):
                 add = c * SignedSqrtRational.sqrt(_lower_factor(tj2, tm2c)) / denom
                 nxt[tm1c] = nxt.get(tm1c, SignedSqrtRational.zero()) + add
         coeffs = {k: v for k, v in nxt.items() if v.sign != 0}
-        tm -= 2
-    return coeffs
+    yield -tJ, coeffs
 
 
 def b_coef(P, k):
@@ -300,37 +294,42 @@ def d_coef_via_cg(P, k):
     )
 
 
+def _dicke_sums(P):
+    """(T, W): sums over k < P of t_k and (M-2k) t_k, t_k = c_k c_j (M-2k).
+
+    M = 2P-1, j = P-1-k, c_n = C(2n, n); d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!),
+    so both sums run on integers near 4^P rather than near M!.
+    """
+    c = [1]
+    for n in range(1, P):
+        c.append(c[-1] * (4 * n - 2) // n)
+    total = weighted = 0
+    for ck, cj, w in zip(c, reversed(c), range(2 * P - 1, 0, -2)):
+        term = ck * cj * w
+        total += term
+        weighted += term * w
+    return total, weighted
+
+
 def projection_norm_sq(P):
-    """Exact squared norm of the symmetrized state: sum_k d_k^2."""
+    """Exact squared norm of the symmetrized state, sum_k d_k^2 =
+    2 (P-1)!^2 T / ((P+1) M!) with T from ``_dicke_sums``."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    return sum(
-        (Fraction(2, P + 1) * Fraction(comb(P - 1, k) ** 2, comb(2 * P - 1, 2 * k))
-         for k in range(P)),
-        Fraction(0),
-    )
+    total, _ = _dicke_sums(P)
+    return Fraction(2 * factorial(P - 1) ** 2 * total, (P + 1) * factorial(2 * P - 1))
 
 
 def gamma(P):
     """Exact weight of |phi><phi| in the reduced single-clone state.
 
-    Computed as the combinatorial ratio; integer-scaled so that the whole
-    sweep up to P ~ 1000 stays fast despite ~6000-digit factorials.
+    W / (M T) from the O(P) term-by-term integer sums of ``_dicke_sums``;
+    ``gamma_closed_form`` is the value it is checked against.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
-    M = 2 * P - 1
-    # t_k = C(P-1,k)^2 (2k)! (M-2k)!  -- integer, built by exact ratio steps
-    t = factorial(M)
-    total = 0
-    weighted = 0
-    for k in range(P):
-        total += t
-        weighted += (M - 2 * k) * t
-        if k < P - 1:
-            t = t * ((P - 1 - k) ** 2 * (2 * k + 1) * (2 * k + 2))
-            t //= (k + 1) ** 2 * (M - 2 * k) * (M - 2 * k - 1)
-    return Fraction(weighted, M * total)
+    total, weighted = _dicke_sums(P)
+    return Fraction(weighted, (2 * P - 1) * total)
 
 
 def gamma_closed_form(P):

@@ -10,6 +10,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .verify import run_suite
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
+
+# largest norm deficit `opa` accepts from the truncated series
+SERIES_TOLERANCE = 1e-6
 
 
 class ConfigError(Exception):
@@ -153,7 +157,17 @@ def cmd_opa(args, out):
     target = Ket(1, np.array([1, np.exp(1j * args.phase)]) / np.sqrt(2))
     fid = fidelity(rho, target)
     injected = fock_state(args.cutoff, 1, 0, mode_basis=float(args.phase))
-    evolved, remainder = evolve(injected, args.gain, args.order)
+    # held back until the series is accepted, so a refusal prints one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolved, remainder = evolve(injected, args.gain, args.order)
+    deficit = abs(1 - evolved.norm_sq)
+    if deficit > SERIES_TOLERANCE:
+        raise ConfigError(
+            f"series norm deficit {deficit:.3e} exceeds {SERIES_TOLERANCE:g}; raise --order"
+        )
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     payload = {
         "phase": args.phase,
         "gain": args.gain,
@@ -162,7 +176,7 @@ def cmd_opa(args, out):
         "first_order_amp_12": [a12.real, a12.imag],
         "amp_ratio_magnitude": ratio,
         "reduced_fidelity": fid,
-        "series_norm_deficit": abs(1 - evolved.norm_sq),
+        "series_norm_deficit": deficit,
         "series_remainder": remainder,
     }
     if args.format == "json":

@@ -116,8 +116,6 @@ def evolve(state, gain, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if abs(gain) > 0.5:
-        warnings.warn("perturbative series is unreliable for |gain| > 0.5")
     h = partial(_apply_hamiltonian, state.mode_basis, state.cutoff)
     term = state.amplitudes.copy()
     acc = term.copy()
@@ -129,6 +127,8 @@ def evolve(state, gain, order):
         raise CutoffOverflowError(
             "series pushed population onto the truncation boundary; raise the cutoff"
         )
+    if abs(gain) > 0.5:
+        warnings.warn("perturbative series is unreliable for |gain| > 0.5")
     return FockVec(state.cutoff, acc, state.mode_basis), remainder
 
 

@@ -8,6 +8,7 @@ defect of 0.0 or 1.0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -15,14 +16,16 @@ from . import statekit as sk
 from . import symmetry as sym
 from .angular import (
     HalfInt,
+    SignedSqrtRational,
     b_coef,
     cg,
-    cg_ladder,
     d_coef,
     d_coef_via_cg,
     fidelity_formula,
     gamma,
     gamma_closed_form,
+    ladder_states,
+    projection_norm_sq,
 )
 from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b, scheme_equivalence_defect
 from . import opa
@@ -53,16 +56,16 @@ def angular_checks():
     for tj1 in range(0, 11):
         for tj2 in range(0, 11 - tj1):
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tM in range(-tJ, tJ + 1, 2):
+                tables = list(ladder_states(tj1, tj2, tJ))
+                ladder_ok &= [tM for tM, _ in tables] == list(range(tJ, -tJ - 1, -2))
+                for tM, table in tables:
                     for tm1 in range(-tj1, tj1 + 1, 2):
                         tm2 = tM - tm1
                         if abs(tm2) > tj2:
                             continue
                         a = cg(HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
                                HalfInt(tm2), HalfInt(tJ), HalfInt(tM))
-                        b = cg_ladder(HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
-                                      HalfInt(tm2), HalfInt(tJ), HalfInt(tM))
-                        ladder_ok &= a == b
+                        ladder_ok &= a == table.get(tm1, SignedSqrtRational.zero())
     checks.append(("cg closed form == ladder oracle (2j <= 10)", _exact(ladder_ok), 0.0))
 
     d_ok = all(
@@ -76,6 +79,16 @@ def angular_checks():
         for P in range(1, 51)
     )
     checks.append(("sum b_k^2 = 1 (P <= 50)", _exact(b_ok), 0.0))
+
+    norms = {P: projection_norm_sq(P) for P in range(1, 301)}
+    norm_ok = all(n == Fraction(4 ** P, (P + 1) * comb(2 * P, P)) for P, n in norms.items())
+    checks.append(("projection_norm_sq == 4^P/((P+1) C(2P,P)) (P <= 300)", _exact(norm_ok), 0.0))
+    # scheme A: UQCM stage (P+1)/2^P, then the projection; scheme B: one stage
+    total_ok = all(
+        Fraction(P + 1, 2 ** P) * n == Fraction(2 ** (P - 1), comb(2 * P - 1, P))
+        for P, n in norms.items()
+    )
+    checks.append(("scheme A success == scheme B 2^(P-1)/C(2P-1,P) (P <= 300)", _exact(total_ok), 0.0))
 
     g_ok = all(gamma(P) == gamma_closed_form(P) for P in range(1, 202))
     checks.append(("gamma(P) == closed form (P <= 201)", _exact(g_ok), 0.0))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -150,6 +151,21 @@ class TestCloningCoefficients:
         assert projection_norm_sq(1) == 1
         assert projection_norm_sq(2) == Fraction(8, 9)
 
+    def test_projection_norm_is_sum_of_d_squares(self):
+        for P in range(1, 41):
+            expected = sum((d_coef(P, k).square() for k in range(P)), Fraction(0))
+            assert projection_norm_sq(P) == expected
+
+    def test_projection_norm_closed_form(self):
+        for P in range(1, 301):
+            assert projection_norm_sq(P) == Fraction(4 ** P, (P + 1) * comb(2 * P, P))
+
+    def test_scheme_a_total_equals_scheme_b(self):
+        # UQCM stage (P+1)/2^P times the final projection, against scheme B's one stage
+        for P in range(1, 301):
+            total_a = Fraction(P + 1, 2 ** P) * projection_norm_sq(P)
+            assert total_a == Fraction(2 ** (P - 1), comb(2 * P - 1, P))
+
 
 class TestGamma:
     def test_anchors(self):
@@ -162,6 +178,15 @@ class TestGamma:
 
     def test_closed_form_large(self):
         assert gamma(1001) == gamma_closed_form(1001)
+        assert gamma(5001) == gamma_closed_form(5001)
+
+    def test_matches_binomial_ratio(self):
+        # the defining ratio over C(P-1,k)^2 / C(M,2k), in Fractions
+        for P in range(1, 61):
+            M = 2 * P - 1
+            weights = [Fraction(comb(P - 1, k) ** 2, comb(M, 2 * k)) for k in range(P)]
+            weighted = sum((M - 2 * k) * w for k, w in enumerate(weights))
+            assert gamma(P) == weighted / (M * sum(weights))
 
 
 class TestFidelityFormula:

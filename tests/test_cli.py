@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pcclone
 from pcclone.cli import main
 
 
@@ -145,6 +150,24 @@ class TestOpa:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "cutoff" in err
+
+    @pytest.mark.parametrize("argv", [["--gain", "5"], ["--gain", "0.6", "--cutoff", "40", "--order", "2"]])
+    def test_large_gain_refusal_is_one_error_line(self, argv):
+        # a fresh interpreter, so that a warning reaches the real stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "pcclone.cli", "opa", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_unconverged_series_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "opa", "--gain", "0.45", "--cutoff", "40", "--order", "2", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--order" in err
 
     def test_large_cutoff(self, capsys):
         code, out, _ = run_cli(capsys, "opa", "--cutoff", "200", "--format", "json")

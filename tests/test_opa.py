@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,13 @@ class TestEvolve:
         st = fock_state(3, 1, 0, mode_basis=0.0)
         with pytest.raises(CutoffOverflowError):
             evolve(st, 0.45, 10)
+
+    def test_overflow_raises_before_gain_warning(self):
+        st = fock_state(3, 1, 0, mode_basis=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CutoffOverflowError):
+                evolve(st, 5.0, 10)
 
 
 class TestFirstOrder:
