@@ -1,11 +1,11 @@
 """Command-line front end: cloning runs, fidelity sweeps, verification, OPA.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
+The parser is the one input boundary and ``_write`` the one output writer.
 """
 
-from __future__ import annotations
-
 import argparse
+import csv
 import json
 import math
 import sys
@@ -14,10 +14,10 @@ import warnings
 
 import numpy as np
 
-from .angular import fidelity_formula, gamma, gamma_closed_form
-from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b
+from .angular import gamma, gamma_closed_form
+from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_scheme
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
-from .statekit import CapacityError, Ket, PlaneId, fidelity
+from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -32,130 +32,107 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_plane(text):
-    try:
-        return PlaneId(text.lower())
-    except ValueError:
-        raise ConfigError(f"plane must be one of xz, yz, xy (got {text!r})")
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-def _check_finite(option, value):
-    if not math.isfinite(value):
-        raise ConfigError(f"{option} must be a finite number (got {value!r})")
+def _typed(convert, accept, expected):
+    """An argparse type that converts the text and rejects values `accept` refuses."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # so argparse still says "invalid int value: 'x'"
+    return parse
+
+
+def _int_at_least(low):
+    return _typed(int, lambda n: n >= low, f"an integer >= {low}")
+
+
+_finite = _typed(float, math.isfinite, "a finite number")
+_odd_m = _typed(int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3")
+
+
+def _write(out, fmt, payload, text, rows=None):
+    """Print the payload as one JSON line, the rows as CSV, or the text lines."""
+    if fmt == "json":
+        out.write(json.dumps(payload) + "\n")
+    elif fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        out.writelines(line + "\n" for line in text)
 
 
 def cmd_fidelity_sweep(args, out):
-    if args.max_m < 3:
-        raise ConfigError("--max-m must be >= 3")
     start = time.perf_counter()
     rows = []
-    all_equal = True
-    for M in range(3, args.max_m + 1, 2):
-        P = (M + 1) // 2
+    for P in range(2, (args.max_m + 1) // 2 + 1):
         exact = gamma(P)
         closed = gamma_closed_form(P)
-        equal = exact == closed
-        all_equal &= equal
         rows.append({
-            "M": M,
+            "M": 2 * P - 1,
             "gamma_exact": f"{exact.numerator}/{exact.denominator}",
             "gamma_closed_form": f"{closed.numerator}/{closed.denominator}",
-            "equal": equal,
+            "equal": exact == closed,
         })
     elapsed = time.perf_counter() - start
-    if args.format == "json":
-        json.dump({"rows": rows, "elapsed_s": elapsed}, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        out.write("M,gamma_exact,gamma_closed_form,equal\n")
-        for r in rows:
-            out.write(f"{r['M']},{r['gamma_exact']},{r['gamma_closed_form']},{r['equal']}\n")
-    else:
-        for r in rows:
-            mark = "ok" if r["equal"] else "MISMATCH"
-            out.write(f"M={r['M']:>5}  gamma={r['gamma_exact']}  closed={r['gamma_closed_form']}  {mark}\n")
-        out.write(f"elapsed: {elapsed:.3f} s\n")
-    return EXIT_OK if all_equal else EXIT_VERIFY_FAIL
+    text = [f"M={r['M']:>5}  gamma={r['gamma_exact']}  closed={r['gamma_closed_form']}  "
+            f"{'ok' if r['equal'] else 'MISMATCH'}" for r in rows]
+    text.append(f"elapsed: {elapsed:.3f} s")
+    _write(out, args.format, {"rows": rows, "elapsed_s": elapsed}, text, rows)
+    return EXIT_OK if all(r["equal"] for r in rows) else EXIT_VERIFY_FAIL
 
 
 def cmd_simulate(args, out):
-    if args.M is not None and args.P is not None:
-        raise ConfigError("give either --M or --P, not both")
-    if args.M is None and args.P is None:
-        raise ConfigError("one of --M or --P is required")
-    if args.M is not None:
-        if args.M % 2 == 0 or args.M < 3:
-            raise ConfigError("M must be odd and >= 3")
-        P = (args.M + 1) // 2
-    else:
-        if args.P < 2:
-            raise ConfigError("P must be >= 2")
-        P = args.P
-    plane = _parse_plane(args.plane)
-    _check_finite("--phase", args.phase)
-    scheme = args.scheme.upper()
-    if scheme not in ("A", "B"):
-        raise ConfigError("scheme must be a or b")
-
-    run = pqcm_scheme_a if scheme == "A" else pqcm_scheme_b
-    report, _ = run(args.phase, plane, P)
+    P = (args.M + 1) // 2 if args.M is not None else args.P
+    plane = PlaneId(args.plane)
+    report, _ = run_scheme(args.scheme, args.phase, plane, P)
+    probes = DEFAULT_PROBE_PHASES
     if args.seed is not None:
-        rng = np.random.default_rng(args.seed)
-        probes = tuple(rng.uniform(0, 2 * np.pi, 8))
-        defect = covariance_defect(plane, P, scheme, probes)
-    else:
-        defect = covariance_defect(plane, P, scheme)
+        probes = tuple(np.random.default_rng(args.seed).uniform(0, 2 * np.pi, 8))
+    defect = covariance_defect(plane, P, args.scheme, probes)
 
-    payload = report.to_dict()
-    payload["covariance_defect"] = defect
-    if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
-    elif args.format == "csv":
-        fid_cols = ",".join(f"fid_{i + 1}" for i in range(report.M))
-        out.write(f"M,P,scheme,plane,input_phase,{fid_cols},success_prob,optimal_fidelity,covariance_defect\n")
-        fids = ",".join(repr(f) for f in report.per_clone_fidelity)
-        out.write(
-            f"{report.M},{report.P},{report.scheme},{report.plane.value},"
-            f"{report.input_phase!r},{fids},{report.success_prob!r},"
-            f"{report.optimal_fidelity!r},{defect!r}\n"
-        )
-    else:
-        out.write(f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
-                  f"phase {report.input_phase:.6f}\n")
-        for i, f in enumerate(report.per_clone_fidelity, 1):
-            out.write(f"  clone {i}: fidelity {f:.12f}\n")
-        out.write(f"  success probability: {report.success_prob:.12f}\n")
-        out.write(f"  optimal fidelity:    {report.optimal_fidelity:.12f}\n")
-        out.write(f"  covariance defect:   {defect:.3e}\n")
+    payload = {**report.to_dict(), "covariance_defect": defect}
+    fids = {f"fid_{i}": f for i, f in enumerate(report.per_clone_fidelity, 1)}
+    row = {}
+    for key, value in payload.items():
+        row.update(fids if key == "per_clone_fidelity" else {key: value})
+    text = [
+        f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
+        f"phase {report.input_phase:.6f}",
+        *(f"  clone {i}: fidelity {f:.12f}" for i, f in enumerate(report.per_clone_fidelity, 1)),
+        f"  success probability: {report.success_prob:.12f}",
+        f"  optimal fidelity:    {report.optimal_fidelity:.12f}",
+        f"  covariance defect:   {defect:.3e}",
+    ]
+    _write(out, args.format, payload, text, [row])
     return EXIT_OK
 
 
 def cmd_verify(args, out):
     rows = run_suite(args.suite)
-    all_ok = True
-    for name, defect, threshold, ok in rows:
-        all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        out.write(f"{status}  {name}: defect {defect:.3e} (threshold {threshold:.1e})\n")
-    out.write(f"{'all checks passed' if all_ok else 'FAILURES present'}\n")
+    all_ok = all(ok for *_, ok in rows)
+    text = [f"{'PASS' if ok else 'FAIL'}  {name}: defect {defect:.3e} (threshold {threshold:.1e})"
+            for name, defect, threshold, ok in rows]
+    text.append("all checks passed" if all_ok else "FAILURES present")
+    _write(out, "text", None, text)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
 def cmd_opa(args, out):
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    if args.cutoff < 3:
-        raise ConfigError("--cutoff must be >= 3")
-    _check_finite("--phase", args.phase)
-    _check_finite("--gain", args.gain)
     first = first_order_output(args.phase, args.cutoff)
     a30 = first.amplitude(3, 0)
     a12 = first.amplitude(1, 2)
     ratio = abs(a30 / a12) if a12 != 0 else float("inf")
     rho = photon_reduced_density(first)
-    target = Ket(1, np.array([1, np.exp(1j * args.phase)]) / np.sqrt(2))
-    fid = fidelity(rho, target)
+    fid = fidelity(rho, equatorial_state(PlaneId.XY, args.phase))
     injected = fock_state(args.cutoff, 1, 0, mode_basis=float(args.phase))
     # held back until the series is accepted, so a refusal prints one line
     with warnings.catch_warnings(record=True) as caught:
@@ -179,20 +156,18 @@ def cmd_opa(args, out):
         "series_norm_deficit": deficit,
         "series_remainder": remainder,
     }
-    if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
-    else:
-        out.write(f"first-order amplitudes: (3,0) {a30:.6f}  (1,2) {a12:.6f}\n")
-        out.write(f"|ratio| = {ratio:.10f}\n")
-        out.write(f"reduced single-photon fidelity = {fid:.10f}\n")
-        out.write(f"series norm deficit = {payload['series_norm_deficit']:.3e} "
-                  f"(remainder estimate {remainder:.3e})\n")
+    text = [
+        f"first-order amplitudes: (3,0) {a30:.6f}  (1,2) {a12:.6f}",
+        f"|ratio| = {ratio:.10f}",
+        f"reduced single-photon fidelity = {fid:.10f}",
+        f"series norm deficit = {deficit:.3e} (remainder estimate {remainder:.3e})",
+    ]
+    _write(out, args.format, payload, text)
     return EXIT_OK
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcclone",
         description="Optimal 1->M equatorial-qubit cloning: simulation, exact "
                     "coefficient theory, and parametric-amplifier model.",
@@ -200,18 +175,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fidelity-sweep", help="check the exact reduced-state weight against its closed form")
-    p.add_argument("--max-m", type=int, required=True)
+    p.add_argument("--max-m", type=_int_at_least(3), required=True)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.set_defaults(func=cmd_fidelity_sweep)
 
     p = sub.add_parser("simulate", help="run one cloning pipeline and report fidelities")
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--P", type=int, default=None)
-    p.add_argument("--plane", default="xz")
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--scheme", choices=["a", "b", "A", "B"], default="a")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--M", type=_odd_m)
+    size.add_argument("--P", type=_int_at_least(2))
+    p.add_argument("--plane", type=str.lower, choices=[plane.value for plane in PlaneId], default="xz")
+    p.add_argument("--phase", type=_finite, default=0.0)
+    p.add_argument("--scheme", type=str.upper, choices=["A", "B"], default="A")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--seed", type=int, default=None, help="sample probe phases instead of the fixed grid")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="sample probe phases instead of the fixed grid")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the invariant suites")
@@ -219,19 +195,18 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("opa", help="collinear parametric-amplifier first-order analysis")
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--gain", type=float, default=0.1)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--phase", type=_finite, default=0.0)
+    p.add_argument("--gain", type=_finite, default=0.1)
+    p.add_argument("--order", type=_int_at_least(1), default=8)
+    p.add_argument("--cutoff", type=_int_at_least(3), default=10)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_opa)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except (ConfigError, CapacityError, CutoffOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,7 +166,8 @@ def pqcm_scheme_b(input_phase, plane, P):
     return _make_report("B", plane, input_phase, P, fids, success), final
 
 
-def _run(scheme, input_phase, plane, P):
+def run_scheme(scheme, input_phase, plane, P):
+    """Scheme "A" or "B" on one input phase: (CloneReport, output ket)."""
     if scheme == "A":
         return pqcm_scheme_a(input_phase, plane, P)
     return pqcm_scheme_b(input_phase, plane, P)
@@ -186,7 +187,7 @@ def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES):
     M = 2 * P - 1
     rotated_back = []
     for theta in probe_phases:
-        _, out = _run(scheme, theta, plane, P)
+        _, out = run_scheme(scheme, theta, plane, P)
         rotated_back.append(sk.phase_rotate(sk.PhaseRotation(plane, -theta), out, list(range(M))))
     return max(sk.pure_trace_distance(b, a) for a in rotated_back for b in rotated_back)
 

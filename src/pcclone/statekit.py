@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 EQ_TOL = 1e-12       # entrywise / overlap equality
-SPECTRAL_TOL = 1e-10  # eigenvalue positivity slack
 
 DEFAULT_MAX_QUBITS = 24
 

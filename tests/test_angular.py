@@ -15,6 +15,7 @@ from pcclone.angular import (
     fidelity_formula,
     gamma,
     gamma_closed_form,
+    ladder_states,
     projection_norm_sq,
 )
 
@@ -93,10 +94,14 @@ class TestClebschGordan:
             cg(h(1), h(1), h(2), h(0), h(1), h(0))
 
     def test_closed_form_matches_ladder_small(self):
+        # one ladder walk per (j1, j2, J) yields the table for every M
+        compared = 0
         for tj1 in range(0, 7):
             for tj2 in range(0, 7):
                 for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                    for tM in range(-tJ, tJ + 1, 2):
+                    tables = list(ladder_states(tj1, tj2, tJ))
+                    assert [tM for tM, _ in tables] == list(range(tJ, -tJ - 1, -2))
+                    for tM, table in tables:
                         for tm1 in range(-tj1, tj1 + 1, 2):
                             tm2 = tM - tm1
                             if abs(tm2) > tj2:
@@ -105,7 +110,9 @@ class TestClebschGordan:
                                 HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
                                 HalfInt(tm2), HalfInt(tJ), HalfInt(tM),
                             )
-                            assert cg(*args) == cg_ladder(*args)
+                            assert cg(*args) == table.get(tm1, SSR.zero())
+                            compared += 1
+        assert compared == 2408
 
     def test_orthogonality_exact(self):
         for tj1, tj2, tm1, tm2 in [(2, 1, 0, 1), (3, 3, 1, -1), (4, 2, -2, 0)]:

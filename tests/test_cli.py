@@ -181,3 +181,20 @@ class TestOpa:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and option in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["opa", "--order", "x"],
+    ["simulate", "--M", "3", "--scheme", "c"],
+    ["simulate", "--M", "3", "--seed", "x"],
+    ["simulate", "--M", "3", "--seed", "-1"],
+    ["opa", "--bogus"],
+    ["no-such-command"],
+    [],
+    ["simulate"],
+])
+def test_argument_error_is_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
