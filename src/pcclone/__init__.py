@@ -1,5 +1,6 @@
-"""Optimal 1->M phase-covariant quantum cloning: dense simulation, exact
-coefficient theory, and a collinear parametric-amplifier model."""
+"""Optimal 1->M phase-covariant quantum cloning: a symmetric-subspace (Dicke)
+engine with a dense oracle, exact coefficient theory, and a collinear
+parametric-amplifier model."""
 
 from .angular import (
     HalfInt,
@@ -15,10 +16,14 @@ from .angular import (
 )
 from .cloner import (
     CloneReport,
+    DickeOutput,
     UqcmOutput,
     covariance_defect,
+    dicke_scheme_a,
+    dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
+    run_scheme,
     scheme_equivalence_defect,
     uqcm,
 )
@@ -48,6 +53,7 @@ from .symmetry import (
     DickeLabel,
     VanishingProjectionError,
     concatenation_defect,
+    dicke_coefficients,
     dicke_state,
     project_and_postselect,
     symmetric_projector,

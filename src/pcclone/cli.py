@@ -6,6 +6,7 @@ The parser is the one input boundary and ``_write`` the one output writer.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -166,7 +167,9 @@ def cmd_opa(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="pcclone",
         description="Optimal 1->M equatorial-qubit cloning: simulation, exact "

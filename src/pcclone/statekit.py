@@ -298,20 +298,22 @@ def same_up_to_phase(a, b, tol=EQ_TOL):
 
 
 def pure_trace_distance(a, b):
-    """Trace distance sqrt(1 - |<a|b>|^2) between two normalized kets.
+    """Trace distance sqrt(1 - |<a|b>|^2) between two normalized pure states,
+    given as Kets or as amplitude vectors in one basis (Dicke coefficients).
 
     Evaluated as sqrt(||a - e^{i phi} b||^2 (1 + |<a|b>|) / 2), with e^{i phi}
     aligning b's global phase to a, so that nearly equal states do not lose
     their distance to cancellation in 1 - |<a|b>|^2.
     """
-    if a.num_qubits != b.num_qubits:
+    a, b = (np.asarray(getattr(x, "amplitudes", x)) for x in (a, b))
+    if a.shape != b.shape:
         raise ValueError("dimension mismatch between kets")
-    if abs(a.norm_sq - 1) > 1e-10 or abs(b.norm_sq - 1) > 1e-10:
+    if abs(np.vdot(a, a).real - 1) > 1e-10 or abs(np.vdot(b, b).real - 1) > 1e-10:
         raise ValueError("kets must be normalized")
-    ov = a.overlap(b)
+    ov = complex(np.vdot(a, b))
     mag = abs(ov)
     phase = ov.conjugate() / mag if mag > 0 else 1.0
-    diff = a.amplitudes - phase * b.amplitudes
+    diff = a - phase * b
     return float(np.sqrt(np.vdot(diff, diff).real * (1 + mag) / 2))
 
 

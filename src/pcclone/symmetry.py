@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -91,6 +91,21 @@ def symmetrize(state, subset):
     means = sums.reshape(k + 1, cols) / counts[:, None]
     out = np.moveaxis(means[weight].reshape(shape), range(k), subset)
     return Ket(n, out.reshape(-1))
+
+
+def dicke_coefficients(state, basis=None):
+    """Coefficients <D_k|state>, k = 0..n, of a permutation-symmetric ket.
+
+    ``basis`` has the columns {|phi>, |phi_perp>} (default: computational);
+    each qubit is first taken into it by basis^dag. A symmetric ket has one
+    amplitude per Hamming weight, and index 2^k - 1 has weight k. This is the
+    dense side of the map the Dicke engine works in, O(n 2^n) with a basis.
+    """
+    n = state.num_qubits
+    if basis is not None:
+        for q in range(n):
+            state = apply(np.asarray(basis).conj().T, [q], state)
+    return np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
 
 
 def dicke_reduced_density(coeffs, basis=None):

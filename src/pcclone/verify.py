@@ -8,7 +8,7 @@ defect of 0.0 or 1.0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
@@ -27,7 +27,14 @@ from .angular import (
     ladder_states,
     projection_norm_sq,
 )
-from .cloner import covariance_defect, pqcm_scheme_a, pqcm_scheme_b, scheme_equivalence_defect
+from .cloner import (
+    covariance_defect,
+    dicke_scheme_a,
+    dicke_scheme_b,
+    pqcm_scheme_a,
+    pqcm_scheme_b,
+    scheme_equivalence_defect,
+)
 from . import opa
 
 
@@ -201,6 +208,64 @@ def cloner_checks():
                 (f"scheme equivalence P={P} {plane.value}",
                  scheme_equivalence_defect(plane, P, phases), 1e-12)
             )
+    return checks + engine_checks()
+
+
+def _log10(fraction):
+    return log10(fraction.numerator) - log10(fraction.denominator)
+
+
+def engine_checks():
+    """The Dicke engine against the dense oracle and the closed forms F1, F2."""
+    checks = []
+    pairs = ((dicke_scheme_a, pqcm_scheme_a), (dicke_scheme_b, pqcm_scheme_b))
+    phases = (0.0, 0.9, 4.1)
+    for plane in sk.PlaneId:
+        worst = 0.0
+        for P in range(2, 8):
+            for theta in phases:
+                for engine, dense in pairs:
+                    report, out = engine(theta, plane, P)
+                    ref, ket = dense(theta, plane, P)
+                    ref_coeffs = sym.dicke_coefficients(ket, plane.basis)
+                    worst = max(
+                        worst,
+                        1 - abs(np.vdot(ref_coeffs, out.coeffs)),
+                        abs(report.success_prob - ref.success_prob),
+                        abs(report.success_log10 - ref.success_log10),
+                        abs(report.per_clone_fidelity[0] - ref.per_clone_fidelity[0]),
+                    )
+        checks.append((f"Dicke engine == dense oracle (M <= 13) {plane.value}", worst, 1e-12))
+
+    sizes = (*range(2, 8), 301, 1001)
+    off_weight = pair_defect = 0.0
+    stage_defect = {"uqcm": 0.0, "final": 0.0, "total": 0.0}
+    for P in sizes:
+        plane = list(sk.PlaneId)[P % 3]
+        uqcm_stage = _log10(Fraction(P + 1, 2 ** P))
+        final_stage = _log10(projection_norm_sq(P)) if P <= 301 else None
+        total = _log10(Fraction(2 ** P, comb(2 * P, P)))
+        for engine in (dicke_scheme_a, dicke_scheme_b):
+            report, out = engine(0.9, plane, P)
+            # F1: (|D_{P-1}> + e^{i phase}|D_P>)/sqrt2 in the plane basis
+            weights = np.abs(out.coeffs) ** 2
+            off_weight = max(off_weight, weights[: P - 1].sum() + weights[P + 1:].sum())
+            pair_defect = max(pair_defect, *(abs(w - 0.5) for w in weights[P - 1:P + 1]))
+            stage_defect["total"] = max(
+                stage_defect["total"], abs(report.success_log10 / total - 1))
+            if "uqcm" in out.stage_log10:
+                stage_defect["uqcm"] = max(
+                    stage_defect["uqcm"], abs(out.stage_log10["uqcm"] / uqcm_stage - 1))
+                if final_stage is not None:
+                    stage_defect["final"] = max(
+                        stage_defect["final"], abs(out.stage_log10["final"] / final_stage - 1))
+    checks.append(("F1 engine weight off D_{P-1}, D_P (P <= 1001)", off_weight, 1e-30))
+    checks.append(("F1 engine |c_{P-1}|^2 = |c_P|^2 = 1/2 (P <= 1001)", pair_defect, 1e-12))
+    checks.append(("F2 UQCM stage log10 (P+1)/2^P, relative (P <= 1001)", stage_defect["uqcm"], 1e-12))
+    checks.append(("F2 final stage log10 projection_norm_sq(P), relative (P <= 301)",
+                   stage_defect["final"], 1e-12))
+    checks.append(("F2 total log10 2^P/C(2P,P), both schemes, relative (P <= 1001)",
+                   stage_defect["total"], 1e-12))
     return checks
 
 

@@ -1,15 +1,17 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import pcclone
-from pcclone.cli import main
+from pcclone.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -104,16 +106,36 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:") and "--phase" in err
 
-    def test_bad_qubit_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PCCLONE_MAX_QUBITS", "abc")
-        code, _, err = run_cli(capsys, "simulate", "--M", "3")
-        assert code == 2
-        assert err.startswith("error:") and "PCCLONE_MAX_QUBITS" in err
+    def test_beyond_dense_cap_runs(self, capsys, monkeypatch):
+        # the Dicke engine holds M+1 coefficients: no 2^M ket, so no qubit cap
+        monkeypatch.setenv("PCCLONE_MAX_QUBITS", "3")
+        code, out, err = run_cli(capsys, "simulate", "--M", "41", "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert all(abs(f - (3 * 41 + 1) / (4 * 41)) <= 1e-12 for f in payload["per_clone_fidelity"])
+        assert payload["covariance_defect"] <= 1e-12
 
-    def test_over_capacity_is_config_error(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--M", "41")
-        assert code == 2
-        assert err.startswith("error:") and "capacity" in err
+    def test_success_log10_in_every_format(self, capsys):
+        want = math.log10(2 ** 3 / math.comb(6, 3))  # whole-run probability, P = 3
+        for scheme in ("a", "b"):
+            _, out, _ = run_cli(capsys, "simulate", "--M", "5", "--scheme", scheme, "--format", "json")
+            assert abs(json.loads(out)["success_log10"] - want) <= 1e-12
+            _, out, _ = run_cli(capsys, "simulate", "--M", "5", "--scheme", scheme, "--format", "csv")
+            assert abs(float(next(csv.DictReader(io.StringIO(out)))["success_log10"]) - want) <= 1e-12
+
+    def test_m_100001(self, capsys):
+        M, P = 100001, 50001
+        want = (P * math.log10(2) - math.log10(math.comb(2 * P, P)))
+        for scheme in ("a", "b"):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "simulate", "--M", str(M), "--scheme", scheme, "--format", "json")
+            elapsed = time.perf_counter() - start
+            assert code == 0 and elapsed < 10
+            payload = json.loads(out)
+            assert abs(payload["success_log10"] - want) <= 1e-12 * abs(want)
+            fids = payload["per_clone_fidelity"]
+            assert len(fids) == M and max(abs(f - (3 * M + 1) / (4 * M)) for f in fids) <= 1e-12
+            assert payload["covariance_defect"] <= 1e-12
 
 
 class TestVerify:
@@ -123,6 +145,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+    def test_bad_qubit_cap_env(self, capsys, monkeypatch):
+        # the dense projector checks of the symmetry suite still read the cap
+        monkeypatch.setenv("PCCLONE_MAX_QUBITS", "abc")
+        code, out, err = run_cli(capsys, "verify", "--suite", "symmetry")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "PCCLONE_MAX_QUBITS" in err
 
 
 class TestOpa:
@@ -198,3 +227,20 @@ def test_argument_error_is_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    sequence = [
+        ["simulate", "--M", "3", "--scheme", "c"],
+        ["simulate", "--M", "3"],
+        ["simulate", "--P", "2", "--scheme", "b", "--plane", "xy"],
+        ["opa"],
+    ]
+    build_parser.cache_clear()
+    cached = [run_cli(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]

@@ -1,25 +1,31 @@
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone.angular import b_coef, d_coef, projection_norm_sq
+from pcclone import cloner
+from pcclone.angular import b_coef, d_coef, gamma, projection_norm_sq
 from pcclone.cloner import (
     CloneReport,
     covariance_defect,
+    dicke_rotation,
+    dicke_scheme_a,
+    dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
     scheme_equivalence_defect,
     uqcm,
 )
 from pcclone.statekit import (
+    BellKind,
     Ket,
     PhaseRotation,
     PlaneId,
     apply,
+    bell_state,
     equatorial_orthogonal,
     equatorial_state,
     fidelity,
@@ -31,7 +37,13 @@ from pcclone.statekit import (
     tensor,
     trace_distance,
 )
-from pcclone.symmetry import DickeLabel, dicke_state, project_and_postselect
+from pcclone.symmetry import (
+    DickeLabel,
+    VanishingProjectionError,
+    dicke_coefficients,
+    dicke_state,
+    project_and_postselect,
+)
 
 PLANES = list(PlaneId)
 
@@ -244,6 +256,15 @@ class TestPureTraceDistance:
         with pytest.raises(ValueError):
             pure_trace_distance(a, tensor(a, a))
 
+    def test_coefficient_vectors(self):
+        rng = np.random.default_rng(3)
+        a, b = random_ket(rng, 3), random_ket(rng, 3)
+        assert pure_trace_distance(a.amplitudes, b.amplitudes) == pure_trace_distance(a, b)
+        with pytest.raises(ValueError):
+            pure_trace_distance(a.amplitudes, 2 * b.amplitudes)
+        with pytest.raises(ValueError):
+            pure_trace_distance(a.amplitudes, b.amplitudes[:4] * np.sqrt(2))
+
 
 def scheme_b_success(P):
     return Fraction(2 ** (P - 1), comb(2 * P - 1, P))
@@ -271,10 +292,133 @@ class TestSchemeEquivalence:
         assert scheme_equivalence_defect(plane, P, (0.0, 0.8, 3.1)) <= 1e-12
 
 
+class TestDickeEngine:
+    """The engine against the dense oracle and the closed forms F1 and F2."""
+
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("engine,dense", [(dicke_scheme_a, pqcm_scheme_a),
+                                              (dicke_scheme_b, pqcm_scheme_b)])
+    def test_matches_dense_oracle(self, plane, engine, dense):
+        for P in range(2, 8):  # odd M <= 13
+            for theta in (0.0, 0.9, 4.1):
+                report, out = engine(theta, plane, P)
+                ref, ket = dense(theta, plane, P)
+                ref_coeffs = dicke_coefficients(ket, plane.basis)
+                assert 1 - abs(np.vdot(ref_coeffs, out.coeffs)) <= 1e-12
+                assert abs(report.success_prob - ref.success_prob) <= 1e-12
+                assert abs(report.success_log10 - ref.success_log10) <= 1e-12
+                assert max(abs(f - g) for f, g in
+                           zip(report.per_clone_fidelity, ref.per_clone_fidelity)) <= 1e-12
+                # F1 on the oracle: its weight off D_{P-1}, D_P is rounding only
+                off = np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum()
+                assert off <= 1e-27
+
+    @pytest.mark.parametrize("engine", [dicke_scheme_a, dicke_scheme_b])
+    @pytest.mark.parametrize("P", [2, 3, 7, 64, 1001])
+    def test_f1_two_coefficients(self, engine, P):
+        theta = 0.3 + P
+        for plane in PLANES:
+            _, out = engine(theta, plane, P)
+            weights = np.abs(out.coeffs) ** 2
+            assert np.delete(weights, [P - 1, P]).sum() <= 1e-30
+            assert max(abs(weights[P - 1] - 0.5), abs(weights[P] - 0.5)) <= 1e-12
+            ratio = out.coeffs[P] / out.coeffs[P - 1]
+            assert abs(ratio - np.exp(1j * theta)) <= 1e-12
+
+    @pytest.mark.parametrize("P", [*range(2, 13), 301])
+    def test_f2_stage_probabilities(self, P):
+        def lg(fraction):
+            return log10(fraction.numerator) - log10(fraction.denominator)
+
+        total = lg(Fraction(2 ** P, comb(2 * P, P)))
+        _, out_a = dicke_scheme_a(1.1, PlaneId.YZ, P)
+        report_b, out_b = dicke_scheme_b(1.1, PlaneId.YZ, P)
+        assert abs(out_a.stage_log10["uqcm"] / lg(Fraction(P + 1, 2 ** P)) - 1) <= 1e-12
+        assert abs(out_a.stage_log10["final"] / lg(projection_norm_sq(P)) - 1) <= 1e-12
+        assert abs(sum(out_a.stage_log10.values()) / total - 1) <= 1e-12
+        assert abs(out_b.stage_log10["final"] / total - 1) <= 1e-12
+        assert abs(report_b.success_log10 / total - 1) <= 1e-12
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_bell_power_against_convolution(self, plane):
+        inv = plane.basis.conj().T
+        t = inv @ bell_state(plane.bell_kind).amplitudes.reshape(2, 2) @ inv.T
+        bell_poly = [t[0, 0], t[0, 1] + t[1, 0], t[1, 1]]
+        for P in range(2, 13):
+            theta = 0.7 * P
+            poly = inv @ equatorial_state(plane, theta).amplitudes
+            for _ in range(P - 1):
+                poly = np.convolve(poly, bell_poly)
+            M = 2 * P - 1
+            coeffs = poly / np.sqrt([comb(M, k) for k in range(M + 1)])
+            coeffs /= np.linalg.norm(coeffs)
+            _, out = dicke_scheme_b(theta, plane, P)
+            assert np.max(np.abs(out.coeffs - coeffs)) <= 1e-12
+
+    def test_fidelity_matches_exact_gamma(self):
+        worst = 0.0
+        for P in range(2, 1002):  # every odd M <= 2001
+            exact = float(gamma(P))
+            plane = PLANES[P % 3]
+            for engine in (dicke_scheme_a, dicke_scheme_b):
+                report, _ = engine(0.1 * P, plane, P)
+                worst = max(worst, abs(report.per_clone_fidelity[0] - exact))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_rotation_matches_dense(self, plane):
+        rng = np.random.default_rng(2)
+        for M in (1, 2, 5):
+            coeffs = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+            coeffs /= np.linalg.norm(coeffs)
+            ket = Ket(M, sum(c * dicke_state(DickeLabel(M, k), plane.basis).amplitudes
+                             for k, c in enumerate(coeffs)))
+            for angle in (0.4, -2.3, 7.0):
+                turned = phase_rotate(PhaseRotation(plane, angle), ket, list(range(M)))
+                want = dicke_coefficients(turned, plane.basis)
+                assert np.max(np.abs(dicke_rotation(plane, angle, M) * coeffs - want)) <= 1e-12
+
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_covariance_at_large_m(self, plane, scheme):
+        assert covariance_defect(plane, 1001, scheme) <= 1e-12
+
+    def test_refuses_non_monomial_ancilla(self, monkeypatch):
+        phi_plus = bell_state(BellKind.PhiPlus)  # |00> + |11>: m = +-1, not 0, in the xy basis
+        monkeypatch.setattr(cloner.sk, "bell_state", lambda kind: phi_plus)
+        for engine in (dicke_scheme_a, dicke_scheme_b):
+            with pytest.raises(ValueError, match="monomial"):
+                engine(0.0, PlaneId.XY, 3)
+
+    def test_scheme_a_without_the_not_vanishes(self, monkeypatch):
+        # without the flip the singlet term (u - s)^(P-1) cancels on every diagonal
+        monkeypatch.setattr(cloner, "_flip_signs", lambda plane: np.ones(2))
+        with pytest.raises(VanishingProjectionError):
+            dicke_scheme_a(0.4, PlaneId.YZ, 3)
+
+    def test_needs_p_at_least_2(self):
+        for engine in (dicke_scheme_a, dicke_scheme_b):
+            with pytest.raises(ValueError):
+                engine(0.0, PlaneId.XZ, 1)
+
+
 class TestCloneReport:
     def test_roundtrip(self):
         report, _ = pqcm_scheme_a(0.25, PlaneId.YZ, 2)
         assert CloneReport.from_dict(report.to_dict()) == report
+
+    def test_success_log10(self):
+        report, _ = dicke_scheme_b(0.0, PlaneId.XY, 2000)
+        assert report.success_prob == 0.0  # 2^P/C(2P,P) underflows past P ~ 1030
+        assert CloneReport.from_dict(report.to_dict()) == report
+        old = {k: v for k, v in pqcm_scheme_b(0.0, PlaneId.XY, 2)[0].to_dict().items()
+               if k != "success_log10"}
+        assert CloneReport.from_dict(old).success_log10 == log10(old["success_prob"])
+        base = dict(M=3, P=2, scheme="B", plane=PlaneId.XY, input_phase=0.0,
+                    per_clone_fidelity=[5 / 6] * 3, optimal_fidelity=5 / 6)
+        for prob, lg in ((0.0, None), (0.5, -np.inf), (0.5, 0.1), (0.5, np.nan)):
+            with pytest.raises(ValueError):
+                CloneReport(**base, success_prob=prob, success_log10=lg)
 
     def test_validation(self):
         good, _ = pqcm_scheme_a(0.0, PlaneId.XZ, 2)
