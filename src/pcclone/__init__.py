@@ -17,14 +17,16 @@ from .angular import (
 from .cloner import (
     CloneReport,
     DickeOutput,
+    SchemeKernel,
     UqcmOutput,
     covariance_defect,
     dicke_scheme_a,
     dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
-    run_scheme,
+    run_kernel,
     scheme_equivalence_defect,
+    scheme_kernel,
     uqcm,
 )
 from .opa import (

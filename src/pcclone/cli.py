@@ -9,14 +9,13 @@ import csv
 import functools
 import json
 import math
+import random
 import sys
 import time
 import warnings
 
-import numpy as np
-
 from .angular import gamma, gamma_closed_form
-from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_scheme
+from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_kernel, scheme_kernel
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
 from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
 from .verify import run_suite
@@ -60,10 +59,12 @@ _odd_m = _typed(int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3")
 
 
 def _write(out, fmt, payload, text, rows=None):
-    """Print the payload as one JSON line, the rows as CSV, or the text lines."""
+    """Print the payload as one JSON line, the rows as CSV, or the text lines;
+    text and rows may be generators, so only the format printed is built."""
     if fmt == "json":
         out.write(json.dumps(payload) + "\n")
     elif fmt == "csv":
+        rows = list(rows)
         writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -94,26 +95,32 @@ def cmd_fidelity_sweep(args, out):
 def cmd_simulate(args, out):
     P = (args.M + 1) // 2 if args.M is not None else args.P
     plane = PlaneId(args.plane)
-    report, _ = run_scheme(args.scheme, args.phase, plane, P)
+    kernel = scheme_kernel(args.scheme, plane, P)
+    report, _ = run_kernel(kernel, args.phase)
     probes = DEFAULT_PROBE_PHASES
     if args.seed is not None:
-        probes = tuple(np.random.default_rng(args.seed).uniform(0, 2 * np.pi, 8))
-    defect = covariance_defect(plane, P, args.scheme, probes)
-
+        rng = random.Random(args.seed)
+        probes = tuple(rng.uniform(0, 2 * math.pi) for _ in range(8))
+    defect = covariance_defect(plane, P, args.scheme, probes, kernel)
     payload = {**report.to_dict(), "covariance_defect": defect}
-    fids = {f"fid_{i}": f for i, f in enumerate(report.per_clone_fidelity, 1)}
-    row = {}
-    for key, value in payload.items():
-        row.update(fids if key == "per_clone_fidelity" else {key: value})
-    text = [
-        f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
-        f"phase {report.input_phase:.6f}",
-        *(f"  clone {i}: fidelity {f:.12f}" for i, f in enumerate(report.per_clone_fidelity, 1)),
-        f"  success probability: {report.success_prob:.12f}",
-        f"  optimal fidelity:    {report.optimal_fidelity:.12f}",
-        f"  covariance defect:   {defect:.3e}",
-    ]
-    _write(out, args.format, payload, text, [row])
+
+    def text():
+        yield (f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
+               f"phase {report.input_phase:.6f}")
+        for i, f in enumerate(report.per_clone_fidelity, 1):
+            yield f"  clone {i}: fidelity {f:.12f}"
+        yield f"  success probability: {report.success_prob:.12f}"
+        yield f"  optimal fidelity:    {report.optimal_fidelity:.12f}"
+        yield f"  covariance defect:   {defect:.3e}"
+
+    def rows():
+        fids = {f"fid_{i}": f for i, f in enumerate(report.per_clone_fidelity, 1)}
+        row = {}
+        for key, value in payload.items():
+            row.update(fids if key == "per_clone_fidelity" else {key: value})
+        yield row
+
+    _write(out, args.format, payload, text(), rows())
     return EXIT_OK
 
 

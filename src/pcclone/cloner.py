@@ -9,15 +9,18 @@ Two routes to the optimal 1 -> M = 2P-1 equatorial cloner:
   plane's Bell ancilla.
 
 Every state the schemes post-select is permutation-symmetric, so the Dicke
-engine (``dicke_scheme_a``/``dicke_scheme_b``, behind ``run_scheme`` and
-``covariance_defect``) holds an M-qubit output as its M+1 coefficients on the
-Dicke states of ``plane.basis``, and each stage's success probability as a
-log10. A scheme run and a covariance probe cost O(M) time and memory, and
-binomial coefficients and probabilities are carried as logarithms, so
-M = 100001 runs in under a second. The ancillas enter as two-variable polynomials
-whose coefficients are read from ``plane.basis`` and ``bell_state``: in that
-basis each ancilla is the m = 0 two-qubit state, a monomial, and the engine
-refuses one that is not.
+engine holds an M-qubit output as its M+1 coefficients on the Dicke states of
+``plane.basis``, and each stage's success probability as a log10. The machine
+is phase-covariant: only the input amplitudes depend on the phase. So each
+scheme splits into a ``SchemeKernel``, built once per (scheme, plane, P) with
+everything the input does not enter, and an O(M) apply per input. ``simulate``
+builds one kernel per command and shares it between its run (``run_kernel``)
+and the probes of ``covariance_defect``; ``dicke_scheme_a``/``_b`` build one
+per call. Binomial coefficients and probabilities are carried as logarithms,
+so M = 100001 runs in a quarter of a second. The ancillas enter as
+two-variable polynomials whose coefficients are read from ``plane.basis`` and
+``bell_state``: in that basis each ancilla is the m = 0 two-qubit state, a
+monomial, and the engine refuses one that is not.
 
 The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
 ``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
@@ -157,6 +160,52 @@ class DickeOutput:
     stage_log10: dict
 
 
+@dataclass(frozen=True)
+class SchemeKernel:
+    """One scheme at (plane, P) without its input (a0, a1), which ``output`` and
+    ``stage_log10`` apply in O(M). Both schemes output the polynomial
+    (a0 + a1 x) x^(P-1) common, common = exp(ln_common) phase_common, in
+    plane.basis; ln_binom_m is ln C(M, .), and for scheme A uqcm_terms holds
+    (2 ln w_m, ln C(P, .), ln C(P-1, P-1-m)), the universal-cloner stage's
+    terms, which |a0|^2 and |a1|^2 weight apart (see ``_kernel_a``).
+    """
+
+    scheme: str
+    plane: PlaneId
+    P: int
+    ln_common: float
+    phase_common: complex
+    ln_binom_m: np.ndarray
+    uqcm_terms: tuple = None
+
+    def output(self, a):
+        """Normalized coefficients of (a0 + a1 x) x^(P-1) common, each divided by
+        sqrt(C(M, k)), and ln of their squared norm."""
+        P = self.P
+        ln_mag = np.full(2 * P, -np.inf)
+        phase = np.zeros(2 * P, dtype=complex)
+        ln_mag[P - 1:P + 1] = np.log(np.abs(a)) + self.ln_common
+        phase[P - 1:P + 1] = a / np.abs(a) * self.phase_common
+        ln_mag -= 0.5 * self.ln_binom_m
+        top = np.max(ln_mag)
+        coeffs = np.exp(ln_mag - top) * phase
+        norm_sq = float(np.vdot(coeffs, coeffs).real)
+        return coeffs / np.sqrt(norm_sq), 2 * top + np.log(norm_sq)
+
+    def stage_log10(self, a, ln_total):
+        """log10 of each stage's probability for the input a, where ln_total is
+        the ln of the whole run's probability (from ``output``)."""
+        if self.uqcm_terms is None:
+            return {"final": ln_total / np.log(10)}
+        two_ln_w, ln_clone, ln_anti = self.uqcm_terms
+        ln_terms = np.concatenate((
+            2 * np.log(abs(a[0])) + two_ln_w - ln_clone[:-1] - ln_anti,
+            2 * np.log(abs(a[1])) + two_ln_w - ln_clone[1:] - ln_anti,
+        ))
+        ln_uqcm, _ = _log_sum(ln_terms, np.ones(2 * self.P))
+        return {"uqcm": ln_uqcm / np.log(10), "final": (ln_total - ln_uqcm) / np.log(10)}
+
+
 def _ln_binomials(n):
     """ln C(n, k) for k = 0..n, summed from the ratios C(n, k+1)/C(n, k) = (n-k)/(k+1)
     in extended precision (where numpy has it), so the running sum loses no digits."""
@@ -200,39 +249,8 @@ def _pair_table(plane, ket, name):
     return table
 
 
-def _input_amplitudes(plane, input_phase, P):
-    """The equatorial input (a0, a1) in plane.basis, for a run of size P >= 2."""
-    if P < 2:
-        raise ValueError("P must be >= 2")
-    return plane.basis.conj().T @ sk.equatorial_state(plane, input_phase).amplitudes
-
-
-def _dicke_output(a, ln_common, phase_common, P):
-    """Normalized coefficients of the polynomial (a0 + a1 x) x^(P-1) common,
-    each divided by sqrt(C(M, k)), and ln of their squared norm."""
-    M = 2 * P - 1
-    ln_mag = np.full(M + 1, -np.inf)
-    phase = np.zeros(M + 1, dtype=complex)
-    ln_mag[P - 1:P + 1] = np.log(np.abs(a)) + ln_common
-    phase[P - 1:P + 1] = a / np.abs(a) * phase_common
-    ln_mag -= 0.5 * _ln_binomials(M)
-    top = np.max(ln_mag)
-    coeffs = np.exp(ln_mag - top) * phase
-    norm_sq = float(np.vdot(coeffs, coeffs).real)
-    return coeffs / np.sqrt(norm_sq), 2 * top + np.log(norm_sq)
-
-
-def _engine_report(scheme, plane, input_phase, P, coeffs, stages):
-    stages = {name: float(value) for name, value in stages.items()}
-    target = sk.equatorial_state(plane, input_phase)
-    fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis), target)
-    report = _make_report(scheme, plane, input_phase, P, [fid] * (2 * P - 1),
-                          10 ** stages["final"], sum(stages.values()))
-    return report, DickeOutput(plane, coeffs, stages)
-
-
-def dicke_scheme_a(input_phase, plane, P):
-    """Scheme A on Dicke coefficients: (CloneReport, DickeOutput).
+def _kernel_a(plane, P):
+    """Scheme A's kernel.
 
     With s marking a clone qubit in |psi_perp> and u an anticlone qubit, the
     input times the P-1 singlets, the NOT already applied to each anticlone,
@@ -241,7 +259,6 @@ def dicke_scheme_a(input_phase, plane, P):
     stage keeps sum |coef_{j,l}|^2 / (C(P, j) C(P-1, l)) and the final
     projection leaves c_k = sum_{j+l=k} coef_{j,l} / sqrt(C(M, k)).
     """
-    a = _input_amplitudes(plane, input_phase, P)
     # the NOT on the anticlone multiplies its column by the flip's diagonal
     pair = _pair_table(plane, sk.bell_state(BellKind.PsiMinus), "the singlet")
     pair = pair * _flip_signs(plane)
@@ -252,34 +269,54 @@ def dicke_scheme_a(input_phase, plane, P):
     ln_binom = _ln_binomials(P - 1)
     ln_w = ln_binom + m * np.log(abs(beta)) + (P - 1 - m) * np.log(abs(alpha))
     phase_w = np.exp(1j * (m * np.angle(beta) + (P - 1 - m) * np.angle(alpha)))
-    ln_clone = _ln_binomials(P)
-    ln_anti = ln_binom[::-1]  # C(P-1, l) at l = P-1-m
-    ln_terms = np.concatenate((
-        2 * np.log(abs(a[0])) + 2 * ln_w - ln_clone[:-1] - ln_anti,
-        2 * np.log(abs(a[1])) + 2 * ln_w - ln_clone[1:] - ln_anti,
-    ))
-    ln_uqcm, _ = _log_sum(ln_terms, np.ones(2 * P))
     ln_diag, phase_diag = _log_sum(ln_w, phase_w)
-    coeffs, ln_total = _dicke_output(a, ln_diag, phase_diag, P)
-    stages = {"uqcm": ln_uqcm / np.log(10), "final": (ln_total - ln_uqcm) / np.log(10)}
-    return _engine_report("A", plane, input_phase, P, coeffs, stages)
+    # C(P-1, l) at l = P-1-m is ln_binom reversed
+    return SchemeKernel("A", plane, P, ln_diag, phase_diag, _ln_binomials(2 * P - 1),
+                        (2 * ln_w, _ln_binomials(P), ln_binom[::-1]))
 
 
-def dicke_scheme_b(input_phase, plane, P):
-    """Scheme B on Dicke coefficients: (CloneReport, DickeOutput).
+def _kernel_b(plane, P):
+    """Scheme B's kernel.
 
     The input polynomial a0 + a1 x times the Bell polynomial
     (b00 + (b01 + b10) x + b11 x^2)^(P-1), then c_k = coeff_k / sqrt(C(M, k)).
     In the plane basis the Bell polynomial is the monomial beta x, so its
     power is beta^(P-1) x^(P-1).
     """
-    a = _input_amplitudes(plane, input_phase, P)
     pair = _pair_table(plane, sk.bell_state(plane.bell_kind), "the Bell ancilla")
     beta = pair[0, 1] + pair[1, 0]
-    coeffs, ln_total = _dicke_output(
-        a, (P - 1) * np.log(abs(beta)), np.exp(1j * (P - 1) * np.angle(beta)), P
-    )
-    return _engine_report("B", plane, input_phase, P, coeffs, {"final": ln_total / np.log(10)})
+    return SchemeKernel("B", plane, P, (P - 1) * np.log(abs(beta)),
+                        np.exp(1j * (P - 1) * np.angle(beta)), _ln_binomials(2 * P - 1))
+
+
+def scheme_kernel(scheme, plane, P):
+    """The SchemeKernel of scheme "A" or "B" at (plane, P), P >= 2."""
+    if P < 2:
+        raise ValueError("P must be >= 2")
+    return (_kernel_a if scheme == "A" else _kernel_b)(plane, P)
+
+
+def run_kernel(kernel, input_phase):
+    """The kernel's scheme on one input phase: (CloneReport, DickeOutput)."""
+    plane, P = kernel.plane, kernel.P
+    target = sk.equatorial_state(plane, input_phase)
+    a = plane.basis.conj().T @ target.amplitudes
+    coeffs, ln_total = kernel.output(a)
+    stages = {name: float(value) for name, value in kernel.stage_log10(a, ln_total).items()}
+    fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis), target)
+    report = _make_report(kernel.scheme, plane, input_phase, P, [fid] * (2 * P - 1),
+                          10 ** stages["final"], sum(stages.values()))
+    return report, DickeOutput(plane, coeffs, stages)
+
+
+def dicke_scheme_a(input_phase, plane, P):
+    """Scheme A on Dicke coefficients: (CloneReport, DickeOutput); see ``_kernel_a``."""
+    return run_kernel(scheme_kernel("A", plane, P), input_phase)
+
+
+def dicke_scheme_b(input_phase, plane, P):
+    """Scheme B on Dicke coefficients: (CloneReport, DickeOutput); see ``_kernel_b``."""
+    return run_kernel(scheme_kernel("B", plane, P), input_phase)
 
 
 def dicke_rotation(plane, angle, M):
@@ -365,15 +402,7 @@ def pqcm_scheme_b(input_phase, plane, P):
     return _make_report("B", plane, input_phase, P, fids, success, log10(success)), final
 
 
-def run_scheme(scheme, input_phase, plane, P):
-    """Scheme "A" or "B" on one input phase, on the Dicke engine:
-    (CloneReport, DickeOutput)."""
-    if scheme == "A":
-        return dicke_scheme_a(input_phase, plane, P)
-    return dicke_scheme_b(input_phase, plane, P)
-
-
-def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES):
+def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES, kernel=None):
     """Max trace distance between rotate-then-clone and clone-then-rotate.
 
     Each probe phase is cloned once, and the output at theta_b is compared
@@ -381,16 +410,20 @@ def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES):
     As R(x) R(y) = R(x + y) and the trace distance is unitarily invariant,
     D(out_b, R(theta_b - theta_a) out_a) = D(R(-theta_b) out_b, R(-theta_a) out_a),
     so each output is rotated back once, by its own phase, before the pairs.
-    Outputs and rotations are the engine's Dicke coefficients: O(M) a probe,
-    and the distance is symmetric, so each unordered pair is measured once.
+    The scheme's kernel (``kernel``, if the caller has built it) is built once
+    and shared by the probes, so a probe costs one O(M) apply and rotation; the
+    distance is symmetric, so each unordered pair is measured once.
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
+    if kernel is None:
+        kernel = scheme_kernel(scheme, plane, P)
     M = 2 * P - 1
+    inv = plane.basis.conj().T
     rotated_back = []
     for theta in probe_phases:
-        _, out = run_scheme(scheme, theta, plane, P)
-        rotated_back.append(dicke_rotation(plane, -theta, M) * out.coeffs)
+        coeffs, _ = kernel.output(inv @ sk.equatorial_state(plane, theta).amplitudes)
+        rotated_back.append(dicke_rotation(plane, -theta, M) * coeffs)
     return max((sk.pure_trace_distance(b, a)
                 for i, a in enumerate(rotated_back) for b in rotated_back[i + 1:]), default=0.0)
 

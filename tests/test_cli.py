@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ import pytest
 
 import pcclone
 from pcclone.cli import build_parser, main
+from pcclone.cloner import covariance_defect
+from pcclone.statekit import PlaneId
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,23 @@ class TestSimulate:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_seed_draws_probes_with_the_stdlib(self, capsys):
+        rng = random.Random(7)
+        probes = tuple(rng.uniform(0, 2 * math.pi) for _ in range(8))
+        _, out, _ = run_cli(capsys, "simulate", "--M", "5", "--seed", "7", "--format", "json")
+        assert json.loads(out)["covariance_defect"] == covariance_defect(PlaneId.XZ, 3, "A", probes)
+
+    def test_seed_loads_no_numpy_random(self):
+        # a fresh interpreter, so that no other test has loaded numpy.random
+        env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
+        code = ("import sys; from pcclone.cli import main; "
+                "main(['simulate', '--M', '5', '--seed', '3']); "
+                "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_even_m_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--M", "4")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, log10
 
@@ -17,6 +18,7 @@ from pcclone.cloner import (
     pqcm_scheme_a,
     pqcm_scheme_b,
     scheme_equivalence_defect,
+    scheme_kernel,
     uqcm,
 )
 from pcclone.statekit import (
@@ -382,6 +384,43 @@ class TestDickeEngine:
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_covariance_at_large_m(self, plane, scheme):
         assert covariance_defect(plane, 1001, scheme) <= 1e-12
+
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("scheme,engine", [("A", dicke_scheme_a), ("B", dicke_scheme_b)])
+    def test_covariance_against_per_probe_runs(self, plane, scheme, engine):
+        # the oracle: one whole scheme run per probe, each output rotated back
+        # by its own phase, then the largest distance over the pairs
+        rng = random.Random(5)
+        seeded = tuple(rng.uniform(0, 2 * np.pi) for _ in range(8))
+        for P in (*range(2, 9), 301, 1001):
+            M = 2 * P - 1
+            for probes in (cloner.DEFAULT_PROBE_PHASES, seeded):
+                back = [dicke_rotation(plane, -theta, M) * engine(theta, plane, P)[1].coeffs
+                        for theta in probes]
+                want = max(pure_trace_distance(b, a)
+                           for i, a in enumerate(back) for b in back[i + 1:])
+                kernel = scheme_kernel(scheme, plane, P)
+                for got in (covariance_defect(plane, P, scheme, probes),
+                            covariance_defect(plane, P, scheme, probes, kernel)):
+                    assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_kernel_a_off_the_equator(self, plane):
+        # an input with |a0| != |a1|: an equatorial one weights the |a0|^2 and
+        # |a1|^2 terms alike, so it passes a kernel that reads one amplitude for both
+        for P in range(2, 7):
+            a = np.array([np.sqrt(0.8), np.sqrt(0.2) * np.exp(0.7j)])
+            kernel = scheme_kernel("A", plane, P)
+            coeffs, ln_total = kernel.output(a)
+            stages = kernel.stage_log10(a, ln_total)
+            source = uqcm(Ket(1, plane.basis @ a), P)
+            assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
+            state = source.state
+            for q in source.anticlone_qubits:
+                state = apply(plane.flip_pauli, [q], state)
+            _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
+            assert abs(10 ** stages["final"] - success) <= 1e-12
+            assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
 
     def test_refuses_non_monomial_ancilla(self, monkeypatch):
         phi_plus = bell_state(BellKind.PhiPlus)  # |00> + |11>: m = +-1, not 0, in the xy basis
