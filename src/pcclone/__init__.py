@@ -6,6 +6,7 @@ from .angular import (
     HalfInt,
     SignedSqrtRational,
     b_coef,
+    central_binomials,
     cg,
     cg_ladder,
     d_coef,

@@ -294,41 +294,69 @@ def d_coef_via_cg(P, k):
     )
 
 
-def _dicke_sums(P):
+def central_binomials(P, table=None):
+    """The list c_n = C(2n, n) grown in place to at least P entries.
+
+    A sweep over P passes the same list each time, so each entry is computed
+    once; by default a new list of P entries is built.
+    """
+    c = [] if table is None else table
+    if not c:
+        c.append(1)
+    for n in range(len(c), P):
+        c.append(c[-1] * (4 * n - 2) // n)
+    return c
+
+
+def _dicke_sums(P, table=None):
     """(T, W): sums over k < P of t_k and (M-2k) t_k, t_k = c_k c_j (M-2k).
 
-    M = 2P-1, j = P-1-k, c_n = C(2n, n); d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!),
-    so both sums run on integers near 4^P rather than near M!.
+    M = 2P-1, j = P-1-k, c_n = C(2n, n) read from ``table`` (at least P
+    entries, from ``central_binomials``; by default built here). Each
+    unordered pair k < j is multiplied once and adds c_k c_j (w_k + w_j) to T
+    and c_k c_j (w_k^2 + w_j^2) to W, w = 2n+1; odd P adds the middle term
+    k = j once. d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so both sums run on
+    integers near 4^P rather than near M!.
     """
-    c = [1]
-    for n in range(1, P):
-        c.append(c[-1] * (4 * n - 2) // n)
+    if table is None:
+        table = central_binomials(P)
+    elif len(table) < P:
+        raise ValueError(f"central-binomial table has {len(table)} entries, P={P} needs {P}")
     total = weighted = 0
-    for ck, cj, w in zip(c, reversed(c), range(2 * P - 1, 0, -2)):
-        term = ck * cj * w
+    for k in range(P // 2):
+        j = P - 1 - k
+        wk, wj = 2 * k + 1, 2 * j + 1
+        pair = table[k] * table[j]
+        total += pair * (wk + wj)
+        weighted += pair * (wk * wk + wj * wj)
+    if P % 2:
+        mid = P // 2
+        w = 2 * mid + 1
+        term = table[mid] * table[mid] * w
         total += term
         weighted += term * w
     return total, weighted
 
 
-def projection_norm_sq(P):
+def projection_norm_sq(P, table=None):
     """Exact squared norm of the symmetrized state, sum_k d_k^2 =
-    2 (P-1)!^2 T / ((P+1) M!) with T from ``_dicke_sums``."""
+    2 (P-1)!^2 T / ((P+1) M!) with T from ``_dicke_sums(P, table)``."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    total, _ = _dicke_sums(P)
+    total, _ = _dicke_sums(P, table)
     return Fraction(2 * factorial(P - 1) ** 2 * total, (P + 1) * factorial(2 * P - 1))
 
 
-def gamma(P):
+def gamma(P, table=None):
     """Exact weight of |phi><phi| in the reduced single-clone state.
 
-    W / (M T) from the O(P) term-by-term integer sums of ``_dicke_sums``;
+    W / (M T) from the O(P) term-by-term integer sums of ``_dicke_sums``; a
+    sweep over P passes one ``central_binomials`` table to every call.
     ``gamma_closed_form`` is the value it is checked against.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
-    total, weighted = _dicke_sums(P)
+    total, weighted = _dicke_sums(P, table)
     return Fraction(weighted, (2 * P - 1) * total)
 
 

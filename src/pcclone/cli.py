@@ -14,7 +14,7 @@ import sys
 import time
 import warnings
 
-from .angular import gamma, gamma_closed_form
+from .angular import central_binomials, gamma, gamma_closed_form
 from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_kernel, scheme_kernel
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
 from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
@@ -72,18 +72,24 @@ def _write(out, fmt, payload, text, rows=None):
         out.writelines(line + "\n" for line in text)
 
 
-def cmd_fidelity_sweep(args, out):
-    start = time.perf_counter()
-    rows = []
-    for P in range(2, (args.max_m + 1) // 2 + 1):
-        exact = gamma(P)
+def _sweep_rows(max_m):
+    """One row per odd M <= max_m; the C(2n, n) table grows by one entry per P,
+    is shared by every gamma call and is freed when the last row is taken."""
+    table = []
+    for P in range(2, (max_m + 1) // 2 + 1):
+        exact = gamma(P, central_binomials(P, table))
         closed = gamma_closed_form(P)
-        rows.append({
+        yield {
             "M": 2 * P - 1,
             "gamma_exact": f"{exact.numerator}/{exact.denominator}",
             "gamma_closed_form": f"{closed.numerator}/{closed.denominator}",
             "equal": exact == closed,
-        })
+        }
+
+
+def cmd_fidelity_sweep(args, out):
+    start = time.perf_counter()
+    rows = list(_sweep_rows(args.max_m))
     elapsed = time.perf_counter() - start
     text = [f"M={r['M']:>5}  gamma={r['gamma_exact']}  closed={r['gamma_closed_form']}  "
             f"{'ok' if r['equal'] else 'MISMATCH'}" for r in rows]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -109,16 +110,20 @@ class PlaneId(Enum):
     YZ = "yz"
     XY = "xy"
 
-    @property
+    @cached_property
     def basis(self):
-        """2x2 matrix whose columns are the canonical {|psi>, |psi_perp>}."""
+        """2x2 matrix whose columns are the canonical {|psi>, |psi_perp>};
+        built on first access, once per plane, and read-only."""
         s = 1 / np.sqrt(2)
         if self is PlaneId.XZ:
             # |R> = (|0> - i|1>)/sqrt2, |L> = (|0> + i|1>)/sqrt2
-            return np.array([[s, s], [-1j * s, 1j * s]], dtype=complex)
-        if self is PlaneId.YZ:
-            return np.array([[s, s], [s, -s]], dtype=complex)
-        return np.eye(2, dtype=complex)
+            matrix = np.array([[s, s], [-1j * s, 1j * s]], dtype=complex)
+        elif self is PlaneId.YZ:
+            matrix = np.array([[s, s], [s, -s]], dtype=complex)
+        else:
+            matrix = np.eye(2, dtype=complex)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def flip_pauli(self):

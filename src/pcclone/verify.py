@@ -18,6 +18,7 @@ from .angular import (
     HalfInt,
     SignedSqrtRational,
     b_coef,
+    central_binomials,
     cg,
     d_coef,
     d_coef_via_cg,
@@ -87,7 +88,8 @@ def angular_checks():
     )
     checks.append(("sum b_k^2 = 1 (P <= 50)", _exact(b_ok), 0.0))
 
-    norms = {P: projection_norm_sq(P) for P in range(1, 301)}
+    table = []  # C(2n, n), grown by one entry per P and shared by the two loops below
+    norms = {P: projection_norm_sq(P, central_binomials(P, table)) for P in range(1, 301)}
     norm_ok = all(n == Fraction(4 ** P, (P + 1) * comb(2 * P, P)) for P, n in norms.items())
     checks.append(("projection_norm_sq == 4^P/((P+1) C(2P,P)) (P <= 300)", _exact(norm_ok), 0.0))
     # scheme A: UQCM stage (P+1)/2^P, then the projection; scheme B: one stage
@@ -97,7 +99,7 @@ def angular_checks():
     )
     checks.append(("scheme A success == scheme B 2^(P-1)/C(2P-1,P) (P <= 300)", _exact(total_ok), 0.0))
 
-    g_ok = all(gamma(P) == gamma_closed_form(P) for P in range(1, 202))
+    g_ok = all(gamma(P, table) == gamma_closed_form(P) for P in range(1, 202))
     checks.append(("gamma(P) == closed form (P <= 201)", _exact(g_ok), 0.0))
 
     rel_ok = all(

@@ -7,7 +7,9 @@ from pcclone.angular import (
     HalfInt,
     IncommensurableRadicalsError,
     SignedSqrtRational,
+    _dicke_sums,
     b_coef,
+    central_binomials,
     cg,
     cg_ladder,
     d_coef,
@@ -194,6 +196,46 @@ class TestGamma:
             weights = [Fraction(comb(P - 1, k) ** 2, comb(M, 2 * k)) for k in range(P)]
             weighted = sum((M - 2 * k) * w for k, w in enumerate(weights))
             assert gamma(P) == weighted / (M * sum(weights))
+
+
+class TestDickeSums:
+    def test_paired_sum_equals_term_by_term(self):
+        # the unpaired oracle: every k < P on its own, t_k = c_k c_j (2j+1)
+        c = [comb(2 * n, n) for n in range(300)]
+        for P in range(1, 301):
+            total = weighted = 0
+            for k in range(P):
+                j = P - 1 - k
+                term = c[k] * c[j] * (2 * j + 1)
+                total += term
+                weighted += term * (2 * j + 1)
+            assert _dicke_sums(P) == (total, weighted), P
+
+    def test_central_binomials(self):
+        assert central_binomials(1) == [1]
+        table = central_binomials(40)
+        assert table == [comb(2 * n, n) for n in range(40)]
+        assert central_binomials(10, table) is table and len(table) == 40
+
+    def test_shared_table_matches_lone_call(self):
+        grown = []
+        for P in range(1, 301):
+            shared = central_binomials(P, grown)
+            assert len(shared) == P
+            assert gamma(P, shared) == gamma(P)
+            assert projection_norm_sq(P, shared) == projection_norm_sq(P)
+        # a table longer than P reads only its first P entries
+        for P in range(1, 301):
+            assert gamma(P, grown) == gamma(P)
+            assert projection_norm_sq(P, grown) == projection_norm_sq(P)
+
+    def test_short_table_raises(self):
+        table = central_binomials(5)
+        for fn in (gamma, projection_norm_sq, _dicke_sums):
+            with pytest.raises(ValueError):
+                fn(6, table)
+        with pytest.raises(ValueError):
+            gamma(1, [])
 
 
 class TestFidelityFormula:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pcclone
+from pcclone.angular import gamma, gamma_closed_form
 from pcclone.cli import build_parser, main
 from pcclone.cloner import covariance_defect
 from pcclone.statekit import PlaneId
@@ -44,6 +45,21 @@ class TestFidelitySweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["M"]) for r in rows] == [3, 5, 7, 9]
         assert rows[2]["gamma_closed_form"] == "11/14"
+
+    def test_rows_match_per_p_gamma(self, capsys):
+        # the shared-table sweep against one lone gamma call per P
+        code, out, _ = run_cli(capsys, "fidelity-sweep", "--max-m", "401", "--format", "json")
+        assert code == 0
+        expected = []
+        for P in range(2, 202):
+            exact, closed = gamma(P), gamma_closed_form(P)
+            expected.append({
+                "M": 2 * P - 1,
+                "gamma_exact": f"{exact.numerator}/{exact.denominator}",
+                "gamma_closed_form": f"{closed.numerator}/{closed.denominator}",
+                "equal": exact == closed,
+            })
+        assert json.loads(out)["rows"] == expected
 
     def test_bad_max_m_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "fidelity-sweep", "--max-m", "1")

@@ -49,6 +49,22 @@ def test_equatorial_normalized(plane):
     assert abs(equatorial_state(plane, 1.234).norm_sq - 1) < 1e-12
 
 
+def test_plane_basis_is_one_read_only_array():
+    s = 1 / np.sqrt(2)
+    expected = {
+        PlaneId.XZ: [[s, s], [-1j * s, 1j * s]],
+        PlaneId.YZ: [[s, s], [s, -s]],
+        PlaneId.XY: [[1, 0], [0, 1]],
+    }
+    for plane, matrix in expected.items():
+        basis = plane.basis
+        assert basis is plane.basis
+        assert basis.dtype == complex
+        np.testing.assert_array_equal(basis, np.array(matrix, dtype=complex))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0
+
+
 def test_bell_phi_plus():
     s = 1 / np.sqrt(2)
     np.testing.assert_allclose(bell_state(BellKind.PhiPlus).amplitudes, [s, 0, 0, s])
