@@ -19,10 +19,6 @@ class IncommensurableRadicalsError(ArithmeticError):
     """Sum of two sqrt-rationals is not itself a sqrt-rational."""
 
 
-def _is_square(n):
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 @dataclass(frozen=True)
 class HalfInt:
     """Half-integer stored exactly as twice its value."""
@@ -127,16 +123,10 @@ class SignedSqrtRational:
             return other
         if other.sign == 0:
             return self
-        ratio = self.radicand / other.radicand
-        if not (_is_square(ratio.numerator) and _is_square(ratio.denominator)):
-            raise IncommensurableRadicalsError(
-                f"sqrt({self.radicand}) and sqrt({other.radicand}) are incommensurable"
-            )
-        coef = self.sign * Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator)) + other.sign
-        if coef == 0:
-            return SignedSqrtRational.zero()
-        sign = 1 if coef > 0 else -1
-        return SignedSqrtRational(sign, coef * coef * other.radicand)
+        a, b = self.radicand, other.radicand
+        sign, num, den = _radical_sum((self.sign, a.numerator, a.denominator),
+                                      (other.sign, b.numerator, b.denominator))
+        return SignedSqrtRational(sign, Fraction(num, den))
 
     def __sub__(self, other):
         return self + (-other)
@@ -160,52 +150,40 @@ def _allowed(j1, j2, m1, m2, J, M):
             and (j1.twice + j2.twice + J.twice) % 2 == 0)
 
 
+_FACTORIALS = [1]  # n! at index n, grown on demand: the only state kept between calls
+
+
+def _factorials(n):
+    """The shared table of k! for every k <= n."""
+    table = _FACTORIALS
+    for k in range(len(table), n + 1):
+        table.append(table[-1] * k)
+    return table
+
+
 def cg(j1, j2, m1, m2, J, M):
     """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
 
     Condon-Shortley phase convention. Returns zero (not an error) when the
-    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail.
+    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail. Racah's closed form
+    on plain integers: the alternating sum over one common denominator, times
+    the square root of a rational prefactor.
     """
     if not _allowed(j1, j2, m1, m2, J, M):
         return SignedSqrtRational.zero()
-
-    def f(twice):
-        # factorial of an exact integer given as twice its value
-        if twice % 2 != 0:
-            raise ValueError("expected an integer")
-        return factorial(twice // 2)
-
-    # Racah's closed form: rational sum times sqrt of a rational prefactor.
-    pre = Fraction(J.twice + 1) * Fraction(
-        f(j1.twice + j2.twice - J.twice)
-        * f(j1.twice - j2.twice + J.twice)
-        * f(-j1.twice + j2.twice + J.twice),
-        f(j1.twice + j2.twice + J.twice + 2),
-    )
-    pre *= Fraction(
-        f(J.twice + M.twice) * f(J.twice - M.twice)
-        * f(j1.twice - m1.twice) * f(j1.twice + m1.twice)
-        * f(j2.twice - m2.twice) * f(j2.twice + m2.twice)
-    )
-
-    total = Fraction(0)
-    k_min = max(0, -(J.twice - j2.twice + m1.twice) // 2, -(J.twice - j1.twice - m2.twice) // 2)
-    k_max = min(
-        (j1.twice + j2.twice - J.twice) // 2,
-        (j1.twice - m1.twice) // 2,
-        (j2.twice + m2.twice) // 2,
-    )
-    for k in range(k_min, k_max + 1):
-        denom = (
-            factorial(k)
-            * f(j1.twice + j2.twice - J.twice - 2 * k)
-            * f(j1.twice - m1.twice - 2 * k)
-            * f(j2.twice + m2.twice - 2 * k)
-            * f(J.twice - j2.twice + m1.twice + 2 * k)
-            * f(J.twice - j1.twice - m2.twice + 2 * k)
-        )
-        total += Fraction((-1) ** k, denom)
-    return SignedSqrtRational.from_rational(total) * SignedSqrtRational.sqrt(pre)
+    a, b, c, x, y, z = j1.twice, j2.twice, J.twice, m1.twice, m2.twice, M.twice
+    # every factorial argument below is whole once _allowed has passed
+    n1, n2, n3 = (a + b - c) // 2, (a - b + c) // 2, (b - a + c) // 2
+    p1, p2, q1, q2 = (a - x) // 2, (b + y) // 2, (c - b + x) // 2, (c - a - y) // 2
+    f = _factorials((a + b + c) // 2 + 1)
+    pre_num = ((c + 1) * f[n1] * f[n2] * f[n3] * f[(c + z) // 2] * f[(c - z) // 2]
+               * f[p1] * f[(a + x) // 2] * f[(b - y) // 2] * f[p2])
+    ks = range(max(0, -q1, -q2), min(n1, p1, p2) + 1)
+    dens = [f[k] * f[n1 - k] * f[p1 - k] * f[p2 - k] * f[q1 + k] * f[q2 + k] for k in ks]
+    common = math.lcm(*dens)
+    num = sum((-1) ** k * (common // d) for k, d in zip(ks, dens))
+    return SignedSqrtRational((num > 0) - (num < 0),
+                              Fraction(pre_num * num * num, f[n1 + n2 + n3 + 1] * common * common))
 
 
 def cg_ladder(j1, j2, m1, m2, J, M):
@@ -218,45 +196,66 @@ def cg_ladder(j1, j2, m1, m2, J, M):
 
 
 def _lower_factor(twice_j, twice_m):
-    """j(j+1) - m(m-1), exact, from doubled arguments."""
-    return Fraction(twice_j * (twice_j + 2) - twice_m * (twice_m - 2), 4)
+    """4 (j(j+1) - m(m-1)), an exact int, from doubled arguments."""
+    return twice_j * (twice_j + 2) - twice_m * (twice_m - 2)
+
+
+def _scaled(c, num, den):
+    """The triple c * sqrt(num/den), reduced; a triple (sign, n, d) is sign sqrt(n/d)."""
+    sign, n, d = c
+    n, d = n * num, d * den
+    g = math.gcd(n, d)
+    return sign, n // g, d // g
+
+
+def _radical_sum(a, b):
+    """The triple a + b of two nonzero triples, legal only when the ratio of
+    their radicands is the square of a rational; anything else raises."""
+    (sa, na, da), (sb, nb, db) = a, b
+    g = math.gcd(na * db, da * nb)
+    p, q = na * db // g, da * nb // g
+    rp, rq = isqrt(p), isqrt(q)
+    if rp * rp != p or rq * rq != q:
+        raise IncommensurableRadicalsError(
+            f"sqrt({na}/{da}) and sqrt({nb}/{db}) are incommensurable")
+    coef = sa * rp + sb * rq  # a + b = (coef / rq) sqrt(nb / db)
+    return _scaled(((coef > 0) - (coef < 0), nb, db), coef * coef, q)
 
 
 def ladder_states(tj1, tj2, tJ):
     """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact.
 
     Doubled arguments, triangle rule assumed. |J,J> is fixed by J+ |J,J> = 0
-    (Condon-Shortley sign); one J- step per M lowers it through every M.
+    (Condon-Shortley sign); one J- step per M lowers it through every M. The
+    coefficients are carried as integer triples and never meet ``cg``.
     """
     # top state |J,J>: c(m1) / c(m1+1) fixed by J+ |J,J> = 0
     lo = max(-tj1, tJ - tj2)
-    coeffs = {tj1: SignedSqrtRational.sqrt(1)}
+    coeffs = {tj1: (1, 1, 1)}
     tm1 = tj1
     while tm1 - 2 >= lo:
         tm1 -= 2
         raise1 = _lower_factor(tj1, tm1 + 2)          # <- J1+ from m1 up
         raise2 = _lower_factor(tj2, tJ - tm1)          # J2+ from m2 = J-m1-1 up
-        coeffs[tm1] = -coeffs[tm1 + 2] * SignedSqrtRational.sqrt(raise2 / raise1)
-    norm_sq = sum((c.square() for c in coeffs.values()), Fraction(0))
-    inv = SignedSqrtRational.sqrt(1 / norm_sq)
-    coeffs = {k: c * inv for k, c in coeffs.items()}
+        sign, n, d = _scaled(coeffs[tm1 + 2], raise2, raise1)
+        coeffs[tm1] = (-sign, n, d)
+    common = math.lcm(*(d for _, _, d in coeffs.values()))
+    norm = sum(n * (common // d) for _, n, d in coeffs.values())  # norm^2 = norm / common
+    coeffs = {k: _scaled(c, common, norm) for k, c in coeffs.items()}
 
-    for tm in range(tJ, -tJ, -2):
-        yield tm, coeffs
-        denom = SignedSqrtRational.sqrt(_lower_factor(tJ, tm))
+    for tm in range(tJ, -tJ - 2, -2):
+        yield tm, {k: SignedSqrtRational(s, Fraction(n, d)) for k, (s, n, d) in coeffs.items()}
+        if tm == -tJ:
+            return
+        denom = _lower_factor(tJ, tm)
         nxt = {}
         for tm1c, c in coeffs.items():
-            tm2c = tm - tm1c
-            # J1- contribution
-            if tm1c - 2 >= -tj1:
-                add = c * SignedSqrtRational.sqrt(_lower_factor(tj1, tm1c)) / denom
-                nxt[tm1c - 2] = nxt.get(tm1c - 2, SignedSqrtRational.zero()) + add
-            # J2- contribution
-            if tm2c - 2 >= -tj2:
-                add = c * SignedSqrtRational.sqrt(_lower_factor(tj2, tm2c)) / denom
-                nxt[tm1c] = nxt.get(tm1c, SignedSqrtRational.zero()) + add
-        coeffs = {k: v for k, v in nxt.items() if v.sign != 0}
-    yield -tJ, coeffs
+            # J1- lowers m1, J2- lowers m2 = tm - tm1c
+            for key, tj, tmc in ((tm1c - 2, tj1, tm1c), (tm1c, tj2, tm - tm1c)):
+                if tmc - 2 >= -tj:
+                    add = _scaled(c, _lower_factor(tj, tmc), denom)
+                    nxt[key] = _radical_sum(nxt[key], add) if key in nxt else add
+        coeffs = {k: v for k, v in nxt.items() if v[0] != 0}
 
 
 def b_coef(P, k):
@@ -313,28 +312,27 @@ def _dicke_sums(P, table=None):
 
     M = 2P-1, j = P-1-k, c_n = C(2n, n) read from ``table`` (at least P
     entries, from ``central_binomials``; by default built here). Each
-    unordered pair k < j is multiplied once and adds c_k c_j (w_k + w_j) to T
-    and c_k c_j (w_k^2 + w_j^2) to W, w = 2n+1; odd P adds the middle term
-    k = j once. d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so both sums run on
-    integers near 4^P rather than near M!.
+    unordered pair k < j is multiplied once. With w = 2n+1, w_k + w_j = 2P and
+    w_k^2 + w_j^2 = 4P^2 - 2 w_k w_j, so the pass sums S = sum c_k c_j and
+    S_w = sum c_k c_j w_k w_j, and T = 2P S, W = 4P^2 S - 2 S_w; odd P adds
+    the middle term k = j once. d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so both
+    sums run on integers near 4^P rather than near M!.
     """
     if table is None:
         table = central_binomials(P)
     elif len(table) < P:
         raise ValueError(f"central-binomial table has {len(table)} entries, P={P} needs {P}")
-    total = weighted = 0
+    pairs = weighted_pairs = 0
     for k in range(P // 2):
-        j = P - 1 - k
-        wk, wj = 2 * k + 1, 2 * j + 1
-        pair = table[k] * table[j]
-        total += pair * (wk + wj)
-        weighted += pair * (wk * wk + wj * wj)
+        pair = table[k] * table[P - 1 - k]
+        pairs += pair
+        weighted_pairs += pair * ((2 * k + 1) * (2 * P - 2 * k - 1))
+    total, weighted = 2 * P * pairs, 4 * P * P * pairs - 2 * weighted_pairs
     if P % 2:
         mid = P // 2
-        w = 2 * mid + 1
-        term = table[mid] * table[mid] * w
+        term = table[mid] * table[mid] * P  # w = 2 mid + 1 = P
         total += term
-        weighted += term * w
+        weighted += term * P
     return total, weighted
 
 

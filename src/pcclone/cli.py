@@ -102,7 +102,7 @@ def cmd_simulate(args, out):
     P = (args.M + 1) // 2 if args.M is not None else args.P
     plane = PlaneId(args.plane)
     kernel = scheme_kernel(args.scheme, plane, P)
-    report, _ = run_kernel(kernel, args.phase)
+    report, output = run_kernel(kernel, args.phase)
     probes = DEFAULT_PROBE_PHASES
     if args.seed is not None:
         rng = random.Random(args.seed)
@@ -115,7 +115,11 @@ def cmd_simulate(args, out):
                f"phase {report.input_phase:.6f}")
         for i, f in enumerate(report.per_clone_fidelity, 1):
             yield f"  clone {i}: fidelity {f:.12f}"
-        yield f"  success probability: {report.success_prob:.12f}"
+        # success_prob is the last stage's alone; the text names every stage and the run
+        stages = {**{f"{name} stage": v for name, v in output.stage_log10.items()},
+                  "whole run": report.success_log10}
+        for name, lg in stages.items():
+            yield f"  success probability, {name + ':':<12} {10 ** lg:.12f} (log10 {lg:.12f})"
         yield f"  optimal fidelity:    {report.optimal_fidelity:.12f}"
         yield f"  covariance defect:   {defect:.3e}"
 

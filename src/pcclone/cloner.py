@@ -328,9 +328,14 @@ def dicke_rotation(plane, angle, M):
     and |D_k> takes r0^(M-k) r1^k. The integer exponent d0 (M-k) + d1 k is
     summed before it meets the angle, so the phase is exact where it is small.
     """
+    return np.exp(-0.5j * plane.orientation * angle * _rotation_exponent(plane, M))
+
+
+def _rotation_exponent(plane, M):
+    """The integer exponent d0 (M-k) + d1 k of ``dicke_rotation``, for k = 0..M."""
     d = _flip_signs(plane)
     k = np.arange(M + 1)
-    return np.exp(-0.5j * plane.orientation * angle * (d[0] * (M - k) + d[1] * k))
+    return d[0] * (M - k) + d[1] * k
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +417,22 @@ def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES, k
     so each output is rotated back once, by its own phase, before the pairs.
     The scheme's kernel (``kernel``, if the caller has built it) is built once
     and shared by the probes, so a probe costs one O(M) apply and rotation; the
-    distance is symmetric, so each unordered pair is measured once.
+    distance is symmetric, so each unordered pair is measured once, and each
+    probe's norm is checked once, before the pairs.
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
     if kernel is None:
         kernel = scheme_kernel(scheme, plane, P)
-    M = 2 * P - 1
     inv = plane.basis.conj().T
+    # dicke_rotation(plane, -theta, M), with its exponent built once for all probes
+    turn, exponent = -0.5j * plane.orientation, _rotation_exponent(plane, 2 * P - 1)
     rotated_back = []
     for theta in probe_phases:
         coeffs, _ = kernel.output(inv @ sk.equatorial_state(plane, theta).amplitudes)
-        rotated_back.append(dicke_rotation(plane, -theta, M) * coeffs)
-    return max((sk.pure_trace_distance(b, a)
+        rotated_back.append(np.exp(turn * -theta * exponent) * coeffs)
+        sk._check_normalized(rotated_back[-1])
+    return max((sk._pure_distance(b, a)
                 for i, a in enumerate(rotated_back) for b in rotated_back[i + 1:]), default=0.0)
 
 

@@ -313,8 +313,19 @@ def pure_trace_distance(a, b):
     a, b = (np.asarray(getattr(x, "amplitudes", x)) for x in (a, b))
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between kets")
-    if abs(np.vdot(a, a).real - 1) > 1e-10 or abs(np.vdot(b, b).real - 1) > 1e-10:
+    _check_normalized(a)
+    _check_normalized(b)
+    return _pure_distance(a, b)
+
+
+def _check_normalized(amps):
+    """Raise ValueError unless the amplitude vector has unit norm (1e-10)."""
+    if abs(np.vdot(amps, amps).real - 1) > 1e-10:
         raise ValueError("kets must be normalized")
+
+
+def _pure_distance(a, b):
+    """``pure_trace_distance`` of two unit vectors of one shape, unchecked."""
     ov = complex(np.vdot(a, b))
     mag = abs(ov)
     phase = ov.conjugate() / mag if mag > 0 else 1.0

@@ -1,5 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -8,6 +10,7 @@ from pcclone.angular import (
     IncommensurableRadicalsError,
     SignedSqrtRational,
     _dicke_sums,
+    _radical_sum,
     b_coef,
     central_binomials,
     cg,
@@ -48,6 +51,13 @@ class TestSignedSqrtRational:
     def test_incommensurable_sum_raises(self):
         with pytest.raises(IncommensurableRadicalsError):
             SSR.sqrt(2) + SSR.sqrt(3)
+
+    def test_ladder_sum_guard_raises(self):
+        # the integer-triple sum the ladder uses, on sqrt(2) + sqrt(3)
+        with pytest.raises(IncommensurableRadicalsError):
+            _radical_sum((1, 2, 1), (1, 3, 1))
+        assert _radical_sum((1, 2, 1), (1, 8, 1)) == (1, 18, 1)
+        assert _radical_sum((1, 5, 7), (-1, 5, 7)) == (0, 0, 1)
 
     def test_zero_identity(self):
         assert SSR.zero() + SSR.sqrt(5) == SSR.sqrt(5)
@@ -94,6 +104,10 @@ class TestClebschGordan:
             cg(h(-1), h(1), h(0), h(0), h(1), h(0))
         with pytest.raises(ValueError):
             cg(h(1), h(1), h(2), h(0), h(1), h(0))
+        with pytest.raises(ValueError):  # j - m not integral
+            cg(h(1), h(1), h("1/2"), h("1/2"), h(1), h(1))
+        with pytest.raises(ValueError):  # |M| > J
+            cg(h(1), h(1), h(1), h(1), h(1), h(2))
 
     def test_closed_form_matches_ladder_small(self):
         # one ladder walk per (j1, j2, J) yields the table for every M
@@ -116,6 +130,38 @@ class TestClebschGordan:
                             compared += 1
         assert compared == 2408
 
+    def test_matches_sympy(self):
+        # a third oracle, independent of Racah's sum and of the ladder
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        from sympy import Rational, sign
+
+        compared = 0
+        for tj1, tj2, tJ, tM, tm1 in _labels(6):
+            args = [Rational(t, 2) for t in (tj1, tj2, tm1, tM - tm1, tJ, tM)]
+            ref = wigner.clebsch_gordan(*args[:2], args[4], *args[2:4], args[5])
+            square = Rational(ref ** 2)
+            want = SSR(int(sign(ref)), Fraction(int(square.p), int(square.q)))
+            assert cg(*(HalfInt(int(2 * a)) for a in args)) == want
+            compared += 1
+        assert compared == 2408
+
+    def test_ladder_yields_reduced_radicals(self):
+        for tj1 in range(0, 11):
+            for tj2 in range(0, 11):
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    for _, table in ladder_states(tj1, tj2, tJ):
+                        for value in table.values():
+                            assert type(value) is SSR and value.sign != 0
+                            r = value.radicand
+                            assert type(r) is Fraction and r.denominator > 0
+                            assert gcd(r.numerator, r.denominator) == 1
+
+    def test_factorial_table_not_built_at_import(self):
+        code = "import pcclone.angular as a; print(len(a._FACTORIALS))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "1"
+
     def test_orthogonality_exact(self):
         for tj1, tj2, tm1, tm2 in [(2, 1, 0, 1), (3, 3, 1, -1), (4, 2, -2, 0)]:
             total = sum(
@@ -127,6 +173,18 @@ class TestClebschGordan:
                 Fraction(0),
             )
             assert total == 1
+
+
+def _labels(max_twice):
+    """Every (2j1, 2j2, 2J, 2M, 2m1) with 2j1, 2j2 <= max_twice, J in the
+    triangle and |m2| <= j2."""
+    for tj1 in range(max_twice + 1):
+        for tj2 in range(max_twice + 1):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tM in range(-tJ, tJ + 1, 2):
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        if abs(tM - tm1) <= tj2:
+                            yield tj1, tj2, tJ, tM, tm1
 
 
 class TestCloningCoefficients:

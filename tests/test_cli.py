@@ -79,6 +79,20 @@ class TestSimulate:
         assert abs(payload["success_prob"] - 8 / 9) < 1e-10
         assert payload["covariance_defect"] < 1e-10
 
+    def test_text_names_every_stage(self, capsys):
+        # success_prob is scheme A's final stage alone; the text shows the whole run too
+        code, out, _ = run_cli(capsys, "simulate", "--M", "5")
+        assert code == 0
+        lines = {line.split(":")[0].strip(): line.split(":")[1].split()[0]
+                 for line in out.splitlines() if "success probability" in line}
+        assert {name: float(v) for name, v in lines.items()} == pytest.approx({
+            "success probability, uqcm stage": 0.5,
+            "success probability, final stage": 0.8,
+            "success probability, whole run": 0.4,
+        }, abs=1e-12)
+        _, out, _ = run_cli(capsys, "simulate", "--M", "5", "--format", "json")
+        assert abs(json.loads(out)["success_prob"] - 0.8) < 1e-12
+
     def test_scheme_b_via_p(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--P", "2", "--scheme", "b", "--plane", "xy",
