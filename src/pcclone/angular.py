@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 
 class IncommensurableRadicalsError(ArithmeticError):
@@ -161,17 +161,13 @@ def _factorials(n):
     return table
 
 
-def cg(j1, j2, m1, m2, J, M):
-    """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
+def _racah(a, b, x, y, c, z):
+    """The triple (sign, n, d) of <j1 m1; j2 m2 | J M> = sign sqrt(n/d), reduced.
 
-    Condon-Shortley phase convention. Returns zero (not an error) when the
-    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail. Racah's closed form
-    on plain integers: the alternating sum over one common denominator, times
-    the square root of a rational prefactor.
+    Doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M that pass ``_allowed``; (0, 0, 1)
+    for a zero. Racah's closed form on plain integers: the alternating sum over
+    one common denominator, times the square root of a rational prefactor.
     """
-    if not _allowed(j1, j2, m1, m2, J, M):
-        return SignedSqrtRational.zero()
-    a, b, c, x, y, z = j1.twice, j2.twice, J.twice, m1.twice, m2.twice, M.twice
     # every factorial argument below is whole once _allowed has passed
     n1, n2, n3 = (a + b - c) // 2, (a - b + c) // 2, (b - a + c) // 2
     p1, p2, q1, q2 = (a - x) // 2, (b + y) // 2, (c - b + x) // 2, (c - a - y) // 2
@@ -182,8 +178,21 @@ def cg(j1, j2, m1, m2, J, M):
     dens = [f[k] * f[n1 - k] * f[p1 - k] * f[p2 - k] * f[q1 + k] * f[q2 + k] for k in ks]
     common = math.lcm(*dens)
     num = sum((-1) ** k * (common // d) for k, d in zip(ks, dens))
-    return SignedSqrtRational((num > 0) - (num < 0),
-                              Fraction(pre_num * num * num, f[n1 + n2 + n3 + 1] * common * common))
+    sign = (num > 0) - (num < 0)
+    return _scaled((sign, pre_num, f[n1 + n2 + n3 + 1]), num * num, common * common)
+
+
+def cg(j1, j2, m1, m2, J, M):
+    """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
+
+    Condon-Shortley phase convention. Returns zero (not an error) when the
+    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail; otherwise the
+    ``_racah`` triple of the doubled labels as a ``SignedSqrtRational``.
+    """
+    if not _allowed(j1, j2, m1, m2, J, M):
+        return SignedSqrtRational.zero()
+    sign, n, d = _racah(j1.twice, j2.twice, m1.twice, m2.twice, J.twice, M.twice)
+    return SignedSqrtRational(sign, Fraction(n, d))
 
 
 def cg_ladder(j1, j2, m1, m2, J, M):
@@ -222,12 +231,13 @@ def _radical_sum(a, b):
     return _scaled(((coef > 0) - (coef < 0), nb, db), coef * coef, q)
 
 
-def ladder_states(tj1, tj2, tJ):
-    """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact.
+def _ladder_triples(tj1, tj2, tJ):
+    """Yield (2M, {2*m1: (sign, n, d)}) for M = J, J-1, ..., -J, exact.
 
-    Doubled arguments, triangle rule assumed. |J,J> is fixed by J+ |J,J> = 0
-    (Condon-Shortley sign); one J- step per M lowers it through every M. The
-    coefficients are carried as integer triples and never meet ``cg``.
+    Doubled arguments, triangle rule assumed; each triple is the reduced
+    sign sqrt(n/d) of <m1, M-m1 | J M>, and zeros are left out. |J,J> is fixed
+    by J+ |J,J> = 0 (Condon-Shortley sign); one J- step per M lowers it
+    through every M. The ladder never meets ``cg`` or ``_racah``.
     """
     # top state |J,J>: c(m1) / c(m1+1) fixed by J+ |J,J> = 0
     lo = max(-tj1, tJ - tj2)
@@ -244,7 +254,7 @@ def ladder_states(tj1, tj2, tJ):
     coeffs = {k: _scaled(c, common, norm) for k, c in coeffs.items()}
 
     for tm in range(tJ, -tJ - 2, -2):
-        yield tm, {k: SignedSqrtRational(s, Fraction(n, d)) for k, (s, n, d) in coeffs.items()}
+        yield tm, coeffs
         if tm == -tJ:
             return
         denom = _lower_factor(tJ, tm)
@@ -258,16 +268,21 @@ def ladder_states(tj1, tj2, tJ):
         coeffs = {k: v for k, v in nxt.items() if v[0] != 0}
 
 
+def ladder_states(tj1, tj2, tJ):
+    """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact:
+    the ``_ladder_triples`` tables as ``SignedSqrtRational`` values."""
+    for tm, coeffs in _ladder_triples(tj1, tj2, tJ):
+        yield tm, {k: SignedSqrtRational(s, Fraction(n, d)) for k, (s, n, d) in coeffs.items()}
+
+
 def b_coef(P, k):
-    """Expansion coefficient of the universal-cloner output over Dicke pairs."""
+    """Expansion coefficient of the universal-cloner output over Dicke pairs,
+    (-1)^k sqrt(2 (P-k) / (P (P+1))): 2 (P-1)! (P-k)! / ((P+1) P! (P-1-k)!) cancelled."""
     if P < 1:
         raise ValueError("P must be >= 1")
     if not 0 <= k <= P - 1:
         raise ValueError(f"k={k} out of range for P={P}")
-    rad = Fraction(2, P + 1) * Fraction(
-        factorial(P - 1) * factorial(P - k), factorial(P) * factorial(P - 1 - k)
-    )
-    return SignedSqrtRational((-1) ** k, rad)
+    return SignedSqrtRational((-1) ** k, Fraction(2 * (P - k), P * (P + 1)))
 
 
 def d_coef(P, k):
@@ -337,12 +352,14 @@ def _dicke_sums(P, table=None):
 
 
 def projection_norm_sq(P, table=None):
-    """Exact squared norm of the symmetrized state, sum_k d_k^2 =
-    2 (P-1)!^2 T / ((P+1) M!) with T from ``_dicke_sums(P, table)``."""
+    """Exact squared norm of the symmetrized state, sum_k d_k^2 = 2 (P-1)!^2 T / ((P+1) M!)
+    = 2 T / ((P+1) (2P-1) c_{P-1}), with T from ``_dicke_sums(P, table)`` and
+    c_{P-1} = C(2P-2, P-1) from the same table, as M! = (2P-1) (P-1)!^2 c_{P-1}."""
     if P < 1:
         raise ValueError("P must be >= 1")
+    table = central_binomials(P) if table is None else table
     total, _ = _dicke_sums(P, table)
-    return Fraction(2 * factorial(P - 1) ** 2 * total, (P + 1) * factorial(2 * P - 1))
+    return Fraction(2 * total, (P + 1) * (2 * P - 1) * table[P - 1])
 
 
 def gamma(P, table=None):

@@ -135,12 +135,13 @@ def cmd_simulate(args, out):
 
 
 def cmd_verify(args, out):
-    rows = run_suite(args.suite)
+    rows, elapsed = run_suite(args.suite)
     all_ok = all(ok for *_, ok in rows)
     text = [f"{'PASS' if ok else 'FAIL'}  {name}: defect {defect:.3e} (threshold {threshold:.1e})"
             for name, defect, threshold, ok in rows]
     text.append("all checks passed" if all_ok else "FAILURES present")
-    _write(out, "text", None, text)
+    checks = [dict(zip(("name", "defect", "threshold", "pass"), row)) for row in rows]
+    _write(out, args.format, {"checks": checks, "elapsed_s": elapsed, "passed": all_ok}, text)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
@@ -212,6 +213,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", choices=["all", "angular", "symmetry", "cloner", "opa"], default="all")
+    p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("opa", help="collinear parametric-amplifier first-order analysis")

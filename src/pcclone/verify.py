@@ -7,25 +7,24 @@ defect of 0.0 or 1.0.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
-from math import comb, log10
+from math import comb, lcm, log10
 
 import numpy as np
 
 from . import statekit as sk
 from . import symmetry as sym
 from .angular import (
-    HalfInt,
-    SignedSqrtRational,
+    _ladder_triples,
+    _racah,
     b_coef,
     central_binomials,
-    cg,
     d_coef,
     d_coef_via_cg,
     fidelity_formula,
     gamma,
     gamma_closed_form,
-    ladder_states,
     projection_norm_sq,
 )
 from .cloner import (
@@ -45,35 +44,30 @@ def _exact(flag):
 
 def angular_checks():
     checks = []
-    # CG orthogonality: sum over J of cg^2 = 1, exact
+    # CG orthogonality: sum over J of cg^2 = 1, exact, on Racah triples (sign, n, d)
     ortho_ok = True
     for tj1 in range(0, 7):
         for tj2 in range(0, 7):
             for tm1 in range(-tj1, tj1 + 1, 2):
                 for tm2 in range(-tj2, tj2 + 1, 2):
-                    total = Fraction(0)
-                    for tJ in range(max(abs(tj1 - tj2), abs(tm1 + tm2)), tj1 + tj2 + 1, 2):
-                        total += cg(
-                            HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
-                            HalfInt(tm2), HalfInt(tJ), HalfInt(tm1 + tm2),
-                        ).square()
-                    ortho_ok &= total == 1
+                    tM = tm1 + tm2
+                    squares = [_racah(tj1, tj2, tm1, tm2, tJ, tM)[1:]
+                               for tJ in range(max(abs(tj1 - tj2), abs(tM)), tj1 + tj2 + 1, 2)]
+                    common = lcm(*(d for _, d in squares))
+                    ortho_ok &= sum(n * (common // d) for n, d in squares) == common
     checks.append(("cg orthogonality (2j <= 6) exact", _exact(ortho_ok), 0.0))
 
+    # both sides reduced, so equal triples are equal coefficients
     ladder_ok = True
     for tj1 in range(0, 11):
         for tj2 in range(0, 11 - tj1):
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                tables = list(ladder_states(tj1, tj2, tJ))
+                tables = list(_ladder_triples(tj1, tj2, tJ))
                 ladder_ok &= [tM for tM, _ in tables] == list(range(tJ, -tJ - 1, -2))
                 for tM, table in tables:
-                    for tm1 in range(-tj1, tj1 + 1, 2):
-                        tm2 = tM - tm1
-                        if abs(tm2) > tj2:
-                            continue
-                        a = cg(HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
-                               HalfInt(tm2), HalfInt(tJ), HalfInt(tM))
-                        ladder_ok &= a == table.get(tm1, SignedSqrtRational.zero())
+                    for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
+                        ladder_ok &= (_racah(tj1, tj2, tm1, tM - tm1, tJ, tM)
+                                      == table.get(tm1, (0, 0, 1)))
     checks.append(("cg closed form == ladder oracle (2j <= 10)", _exact(ladder_ok), 0.0))
 
     d_ok = all(
@@ -325,10 +319,14 @@ SUITES = {
 
 
 def run_suite(name):
-    """Yield (check name, defect, threshold, passed) rows for a suite."""
-    names = list(SUITES) if name == "all" else [name]
-    rows = []
-    for suite in names:
-        for check, defect, threshold in SUITES[suite]():
-            rows.append((f"{suite}: {check}", defect, threshold, defect <= threshold))
-    return rows
+    """(rows, elapsed): the (check name, defect, threshold, passed) rows of a
+    suite, or of every suite for "all", and each suite's wall time in seconds."""
+    rows, elapsed = [], {}
+    for suite in list(SUITES) if name == "all" else [name]:
+        start = time.perf_counter()
+        checks = SUITES[suite]()
+        elapsed[suite] = time.perf_counter() - start
+        # bool(): a numpy defect's comparison is a numpy bool, which json cannot write
+        rows += [(f"{suite}: {check}", defect, threshold, bool(defect <= threshold))
+                 for check, defect, threshold in checks]
+    return rows, elapsed

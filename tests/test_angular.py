@@ -1,15 +1,22 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 
+import pcclone
+from pcclone import verify
 from pcclone.angular import (
     HalfInt,
     IncommensurableRadicalsError,
     SignedSqrtRational,
+    _allowed,
     _dicke_sums,
+    _ladder_triples,
+    _racah,
     _radical_sum,
     b_coef,
     central_binomials,
@@ -157,10 +164,43 @@ class TestClebschGordan:
                             assert gcd(r.numerator, r.denominator) == 1
 
     def test_factorial_table_not_built_at_import(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
         code = "import pcclone.angular as a; print(len(a._FACTORIALS))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             env=env, check=True)
         assert out.stdout.strip() == "1"
+
+    def test_racah_matches_cg(self):
+        # every J and every m1 + m2 = M with 2j <= 10: selection-rule and accidental zeros
+        compared = accidental_zeros = 0
+        for tj1 in range(11):
+            for tj2 in range(11):
+                for tJ in range(11):
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        for tm2 in range(-tj2, tj2 + 1, 2):
+                            tM = tm1 + tm2
+                            if abs(tM) > tJ or (tJ - tM) % 2:
+                                continue
+                            labels = [HalfInt(t) for t in (tj1, tj2, tm1, tm2, tJ, tM)]
+                            want = (0, 0, 1)
+                            if _allowed(*labels):
+                                want = _racah(tj1, tj2, tm1, tm2, tJ, tM)
+                                accidental_zeros += want == (0, 0, 1)
+                            got = cg(*labels)
+                            r = got.radicand
+                            assert (got.sign, r.numerator, r.denominator) == want
+                            compared += 1
+        assert compared == 13860 and accidental_zeros > 0
+
+    def test_ladder_triples_match_ladder_states(self):
+        for tj1 in range(0, 11):
+            for tj2 in range(0, 11 - tj1):
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    triples = list(_ladder_triples(tj1, tj2, tJ))
+                    states = list(ladder_states(tj1, tj2, tJ))
+                    assert [tM for tM, _ in triples] == [tM for tM, _ in states]
+                    for (_, t), (_, table) in zip(triples, states):
+                        assert {k: SSR(s, Fraction(n, d)) for k, (s, n, d) in t.items()} == table
 
     def test_orthogonality_exact(self):
         for tj1, tj2, tm1, tm2 in [(2, 1, 0, 1), (3, 3, 1, -1), (4, 2, -2, 0)]:
@@ -205,6 +245,13 @@ class TestCloningCoefficients:
         for P in range(1, 51):
             assert sum((b_coef(P, k).square() for k in range(P)), Fraction(0)) == 1
 
+    def test_b_matches_factorial_ratio(self):
+        for P in range(1, 61):
+            for k in range(P):
+                rad = Fraction(2, P + 1) * Fraction(factorial(P - 1) * factorial(P - k),
+                                                    factorial(P) * factorial(P - 1 - k))
+                assert b_coef(P, k) == SSR((-1) ** k, rad)
+
     def test_d_p2(self):
         assert d_coef(2, 0) == SSR(1, Fraction(2, 3))
         assert d_coef(2, 1) == SSR(-1, Fraction(2, 9))
@@ -226,6 +273,14 @@ class TestCloningCoefficients:
     def test_projection_norm_closed_form(self):
         for P in range(1, 301):
             assert projection_norm_sq(P) == Fraction(4 ** P, (P + 1) * comb(2 * P, P))
+
+    def test_projection_norm_matches_factorial_form(self):
+        shared = []
+        for P in range(1, 301):
+            want = Fraction(2 * factorial(P - 1) ** 2 * _dicke_sums(P)[0],
+                            (P + 1) * factorial(2 * P - 1))
+            assert projection_norm_sq(P) == want
+            assert projection_norm_sq(P, central_binomials(P, shared)) == want
 
     def test_scheme_a_total_equals_scheme_b(self):
         # UQCM stage (P+1)/2^P times the final projection, against scheme B's one stage
@@ -330,3 +385,25 @@ class TestFidelityFormula:
             fidelity_formula("universal", 2, 1)
         with pytest.raises(ValueError):
             fidelity_formula("bogus", 1, 3)
+
+
+class TestAngularChecks:
+    """The integer-triple checks of ``verify --suite angular`` still catch errors."""
+
+    @staticmethod
+    def _defects(monkeypatch, label, result):
+        real = verify._racah
+        monkeypatch.setattr(verify, "_racah",
+                            lambda *a: result(real(*a)) if a == label else real(*a))
+        return {name: defect for name, defect, _ in verify.angular_checks()}
+
+    def test_flipped_sign_fails_ladder_check(self, monkeypatch):
+        # <1/2 1/2; 1/2 -1/2 | 0 0> = +sqrt(1/2): squares, and so orthogonality, cannot see the sign
+        defects = self._defects(monkeypatch, (1, 1, 1, -1, 0, 0), lambda t: (-t[0], *t[1:]))
+        assert defects["cg closed form == ladder oracle (2j <= 10)"] == 1.0
+        assert defects["cg orthogonality (2j <= 6) exact"] == 0.0
+
+    def test_dropped_term_fails_orthogonality(self, monkeypatch):
+        # <1 0; 1 0 | 2 0> = sqrt(2/3) read as zero drops the J = 2 term of its sum
+        defects = self._defects(monkeypatch, (2, 2, 0, 0, 4, 0), lambda t: (0, 0, 1))
+        assert defects["cg orthogonality (2j <= 6) exact"] == 1.0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pcclone
+from pcclone import verify
 from pcclone.angular import gamma, gamma_closed_form
 from pcclone.cli import build_parser, main
 from pcclone.cloner import covariance_defect
@@ -195,6 +196,37 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+    def test_json_carries_the_text_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "angular", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert list(payload["elapsed_s"]) == ["angular"] and payload["elapsed_s"]["angular"] > 0
+        _, text, _ = run_cli(capsys, "verify", "--suite", "angular")
+        rows = [f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}: defect {c['defect']:.3e} "
+                f"(threshold {c['threshold']:.1e})" for c in payload["checks"]]
+        assert text.splitlines() == rows + ["all checks passed"]
+
+    def test_json_times_every_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] is True
+        assert list(payload["elapsed_s"]) == ["angular", "symmetry", "cloner", "opa"]
+        suites = {c["name"].split(":")[0] for c in payload["checks"]}
+        assert suites == set(payload["elapsed_s"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failure_exits_1_in_both_formats(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(verify, "_racah", lambda *labels: (0, 0, 1))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "angular", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["passed"] is False
+            assert [c["pass"] for c in payload["checks"]][:2] == [False, False]
+        else:
+            assert out.splitlines()[-1] == "FAILURES present"
 
     def test_bad_qubit_cap_env(self, capsys, monkeypatch):
         # the dense projector checks of the symmetry suite still read the cap
