@@ -3,7 +3,6 @@ engine with a dense oracle, exact coefficient theory, and a collinear
 parametric-amplifier model."""
 
 from .angular import (
-    HalfInt,
     SignedSqrtRational,
     b_coef,
     central_binomials,

@@ -10,6 +10,7 @@ computation in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -17,39 +18,6 @@ from math import comb, isqrt
 
 class IncommensurableRadicalsError(ArithmeticError):
     """Sum of two sqrt-rationals is not itself a sqrt-rational."""
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """Half-integer stored exactly as twice its value."""
-
-    twice: int
-
-    @classmethod
-    def of(cls, value):
-        tw = Fraction(value) * 2
-        if tw.denominator != 1:
-            raise ValueError(f"{value} is not a half-integer")
-        return cls(int(tw))
-
-    @property
-    def value(self):
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other):
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __le__(self, other):
-        return self.twice <= other.twice
-
-    def __lt__(self, other):
-        return self.twice < other.twice
 
 
 @dataclass(frozen=True)
@@ -103,13 +71,6 @@ class SignedSqrtRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SignedSqrtRational.from_rational(other)
-        if other.sign == 0:
-            raise ZeroDivisionError
-        return SignedSqrtRational(self.sign * other.sign, self.radicand / other.radicand)
-
     def __neg__(self):
         return SignedSqrtRational(-self.sign, self.radicand)
 
@@ -132,22 +93,25 @@ class SignedSqrtRational:
         return self + (-other)
 
 
-def _validate_jm(j, m):
-    if j.twice < 0:
-        raise ValueError(f"negative angular momentum j={j.value}")
-    if abs(m.twice) > j.twice:
-        raise ValueError(f"|m|={abs(m.value)} exceeds j={j.value}")
-    if (j.twice - m.twice) % 2 != 0:
-        raise ValueError(f"j-m must be integral (j={j.value}, m={m.value})")
+def _validate_jm(tj, tm):
+    """Check one doubled pair 2j, 2m; an error prints j and m as half-integers."""
+    if tj < 0:
+        raise ValueError(f"negative angular momentum j={Fraction(tj, 2)}")
+    if abs(tm) > tj:
+        raise ValueError(f"|m|={Fraction(abs(tm), 2)} exceeds j={Fraction(tj, 2)}")
+    if (tj - tm) % 2 != 0:
+        raise ValueError(f"j-m must be integral (j={Fraction(tj, 2)}, m={Fraction(tm, 2)})")
 
 
-def _allowed(j1, j2, m1, m2, J, M):
-    """Validate the labels; False when a selection rule zeroes the coefficient."""
-    for j, m in ((j1, m1), (j2, m2), (J, M)):
-        _validate_jm(j, m)
-    return (m1.twice + m2.twice == M.twice
-            and abs(j1.twice - j2.twice) <= J.twice <= j1.twice + j2.twice
-            and (j1.twice + j2.twice + J.twice) % 2 == 0)
+def _allowed(tj1, tj2, tm1, tm2, tJ, tM):
+    """Validate the doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M, which must be
+    integers (a float raises TypeError); False when a selection rule zeroes
+    the coefficient."""
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
+        _validate_jm(operator.index(tj), operator.index(tm))
+    return (tm1 + tm2 == tM
+            and abs(tj1 - tj2) <= tJ <= tj1 + tj2
+            and (tj1 + tj2 + tJ) % 2 == 0)
 
 
 _FACTORIALS = [1]  # n! at index n, grown on demand: the only state kept between calls
@@ -182,26 +146,28 @@ def _racah(a, b, x, y, c, z):
     return _scaled((sign, pre_num, f[n1 + n2 + n3 + 1]), num * num, common * common)
 
 
-def cg(j1, j2, m1, m2, J, M):
-    """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>.
+def cg(tj1, tj2, tm1, tm2, tJ, tM):
+    """Exact Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> from the doubled
+    labels 2j1, 2j2, 2m1, 2m2, 2J, 2M, plain integers.
 
     Condon-Shortley phase convention. Returns zero (not an error) when the
     selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail; otherwise the
-    ``_racah`` triple of the doubled labels as a ``SignedSqrtRational``.
+    ``_racah`` triple as a ``SignedSqrtRational``.
     """
-    if not _allowed(j1, j2, m1, m2, J, M):
+    if not _allowed(tj1, tj2, tm1, tm2, tJ, tM):
         return SignedSqrtRational.zero()
-    sign, n, d = _racah(j1.twice, j2.twice, m1.twice, m2.twice, J.twice, M.twice)
+    sign, n, d = _racah(tj1, tj2, tm1, tm2, tJ, tM)
     return SignedSqrtRational(sign, Fraction(n, d))
 
 
-def cg_ladder(j1, j2, m1, m2, J, M):
-    """Independent Clebsch-Gordan oracle: a lookup in ``ladder_states``."""
-    if not _allowed(j1, j2, m1, m2, J, M):
+def cg_ladder(tj1, tj2, tm1, tm2, tJ, tM):
+    """Independent Clebsch-Gordan oracle: a lookup in ``ladder_states``, with
+    the doubled integer labels of ``cg``."""
+    if not _allowed(tj1, tj2, tm1, tm2, tJ, tM):
         return SignedSqrtRational.zero()
-    for tM, table in ladder_states(j1.twice, j2.twice, J.twice):
-        if tM == M.twice:
-            return table.get(m1.twice, SignedSqrtRational.zero())
+    for tm, table in ladder_states(tj1, tj2, tJ):
+        if tm == tM:
+            return table.get(tm1, SignedSqrtRational.zero())
 
 
 def _lower_factor(twice_j, twice_m):
@@ -296,16 +262,10 @@ def d_coef(P, k):
 
 
 def d_coef_via_cg(P, k):
-    """Cross-check route: b_k times the stretched-J Clebsch-Gordan factor."""
-    tP = P  # j_C = P/2, j_AC = (P-1)/2
-    return b_coef(P, k) * cg(
-        HalfInt(tP),
-        HalfInt(tP - 1),
-        HalfInt(tP - 2 * k),
-        HalfInt(tP - 1 - 2 * k),
-        HalfInt(2 * tP - 1),
-        HalfInt(2 * tP - 1 - 4 * k),
-    )
+    """Cross-check route: b_k times the stretched-J Clebsch-Gordan factor
+    <P/2, P/2 - k; (P-1)/2, (P-1)/2 - k | M/2, M/2 - 2k>, M = 2P-1, whose
+    doubled labels are the integers passed to ``cg``."""
+    return b_coef(P, k) * cg(P, P - 1, P - 2 * k, P - 1 - 2 * k, 2 * P - 1, 2 * P - 1 - 4 * k)
 
 
 def central_binomials(P, table=None):

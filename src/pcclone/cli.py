@@ -59,12 +59,10 @@ _odd_m = _typed(int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3")
 
 
 def _write(out, fmt, payload, text, rows=None):
-    """Print the payload as one JSON line, the rows as CSV, or the text lines;
-    text and rows may be generators, so only the format printed is built."""
+    """Print the payload as one JSON line, the rows as CSV, or the text lines."""
     if fmt == "json":
         out.write(json.dumps(payload) + "\n")
     elif fmt == "csv":
-        rows = list(rows)
         writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -107,30 +105,23 @@ def cmd_simulate(args, out):
     if args.seed is not None:
         rng = random.Random(args.seed)
         probes = tuple(rng.uniform(0, 2 * math.pi) for _ in range(8))
-    defect = covariance_defect(plane, P, args.scheme, probes, kernel)
+    defect = covariance_defect(kernel, probes)
     payload = {**report.to_dict(), "covariance_defect": defect}
-
-    def text():
-        yield (f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
-               f"phase {report.input_phase:.6f}")
-        for i, f in enumerate(report.per_clone_fidelity, 1):
-            yield f"  clone {i}: fidelity {f:.12f}"
-        # success_prob is the last stage's alone; the text names every stage and the run
-        stages = {**{f"{name} stage": v for name, v in output.stage_log10.items()},
-                  "whole run": report.success_log10}
-        for name, lg in stages.items():
-            yield f"  success probability, {name + ':':<12} {10 ** lg:.12f} (log10 {lg:.12f})"
-        yield f"  optimal fidelity:    {report.optimal_fidelity:.12f}"
-        yield f"  covariance defect:   {defect:.3e}"
-
-    def rows():
-        fids = {f"fid_{i}": f for i, f in enumerate(report.per_clone_fidelity, 1)}
-        row = {}
-        for key, value in payload.items():
-            row.update(fids if key == "per_clone_fidelity" else {key: value})
-        yield row
-
-    _write(out, args.format, payload, text(), rows())
+    # the output is symmetric, so every clone has the same fidelity: text and
+    # CSV print it once; JSON keeps the M-entry list, which perfbench/checks.py reads
+    fid = report.per_clone_fidelity[0]
+    # success_prob is the last stage's alone; the text names every stage and the run
+    stages = {**{f"{name} stage": v for name, v in output.stage_log10.items()},
+              "whole run": report.success_log10}
+    text = [f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
+            f"phase {report.input_phase:.6f}",
+            f"  fidelity, each clone: {fid:.12f}",
+            *(f"  success probability, {name + ':':<12} {10 ** lg:.12f} (log10 {lg:.12f})"
+              for name, lg in stages.items()),
+            f"  optimal fidelity:    {report.optimal_fidelity:.12f}",
+            f"  covariance defect:   {defect:.3e}"]
+    row = {key: value for key, value in payload.items() if key != "per_clone_fidelity"}
+    _write(out, args.format, payload, text, [{**row, "fidelity": fid}])
     return EXIT_OK
 
 

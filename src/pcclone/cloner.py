@@ -407,23 +407,22 @@ def pqcm_scheme_b(input_phase, plane, P):
     return _make_report("B", plane, input_phase, P, fids, success, log10(success)), final
 
 
-def covariance_defect(plane, P, scheme="A", probe_phases=DEFAULT_PROBE_PHASES, kernel=None):
+def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     """Max trace distance between rotate-then-clone and clone-then-rotate.
 
-    Each probe phase is cloned once, and the output at theta_b is compared
-    with the output at theta_a rotated by theta_b - theta_a for every pair.
+    Each probe phase is cloned once by the kernel's scheme, on its plane and
+    at its P, and the output at theta_b is compared with the output at
+    theta_a rotated by theta_b - theta_a for every pair.
     As R(x) R(y) = R(x + y) and the trace distance is unitarily invariant,
     D(out_b, R(theta_b - theta_a) out_a) = D(R(-theta_b) out_b, R(-theta_a) out_a),
     so each output is rotated back once, by its own phase, before the pairs.
-    The scheme's kernel (``kernel``, if the caller has built it) is built once
-    and shared by the probes, so a probe costs one O(M) apply and rotation; the
-    distance is symmetric, so each unordered pair is measured once, and each
-    probe's norm is checked once, before the pairs.
+    The kernel is shared by the probes, so a probe costs one O(M) apply and
+    rotation; the distance is symmetric, so each unordered pair is measured
+    once, and each probe's norm is checked once, before the pairs.
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
-    if kernel is None:
-        kernel = scheme_kernel(scheme, plane, P)
+    plane, P = kernel.plane, kernel.P
     inv = plane.basis.conj().T
     # dicke_rotation(plane, -theta, M), with its exponent built once for all probes
     turn, exponent = -0.5j * plane.orientation, _rotation_exponent(plane, 2 * P - 1)

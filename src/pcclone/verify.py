@@ -28,12 +28,14 @@ from .angular import (
     projection_norm_sq,
 )
 from .cloner import (
+    DEFAULT_PROBE_PHASES,
     covariance_defect,
     dicke_scheme_a,
     dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
     scheme_equivalence_defect,
+    scheme_kernel,
 )
 from . import opa
 
@@ -171,7 +173,7 @@ def _transposition(n, i, j):
 
 def cloner_checks():
     checks = []
-    phases = tuple(2 * np.pi * k / 8 for k in range(8))
+    phases = DEFAULT_PROBE_PHASES
     for P in (2, 3):
         M = 2 * P - 1
         opt = float(fidelity_formula("cov_odd", 1, M))
@@ -198,7 +200,7 @@ def cloner_checks():
             checks.append((f"reduced state diagonal in-plane P={P} {plane.value}", worst_offdiag, 1e-10))
             checks.append(
                 (f"covariance defect P={P} {plane.value}",
-                 covariance_defect(plane, P, "A", phases[:4]), 1e-10)
+                 covariance_defect(scheme_kernel("A", plane, P), phases[:4]), 1e-10)
             )
             checks.append(
                 (f"scheme equivalence P={P} {plane.value}",

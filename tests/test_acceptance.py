@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 
 from pcclone.angular import (
-    HalfInt,
     cg,
     d_coef,
     d_coef_via_cg,
@@ -23,6 +22,7 @@ from pcclone.cloner import (
     pqcm_scheme_a,
     pqcm_scheme_b,
     scheme_equivalence_defect,
+    scheme_kernel,
     uqcm,
 )
 from pcclone.opa import (
@@ -125,8 +125,7 @@ def test_criterion_5_coefficient_theory():
                     lo = max(abs(tj1 - tj2), abs(tm1 + tm2))
                     total = sum(
                         (
-                            cg(HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
-                               HalfInt(tm2), HalfInt(tJ), HalfInt(tm1 + tm2)).square()
+                            cg(tj1, tj2, tm1, tm2, tJ, tm1 + tm2).square()
                             for tJ in range(lo, tj1 + tj2 + 1, 2)
                         ),
                         Fraction(0),
@@ -172,7 +171,7 @@ def test_criterion_6_uqcm_stage():
 
 def test_criterion_7_covariance():
     worst = max(
-        covariance_defect(plane, P, scheme)
+        covariance_defect(scheme_kernel(scheme, plane, P))
         for P in (2, 3)
         for plane in PLANES
         for scheme in ("A", "B")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,6 @@ import pytest
 import pcclone
 from pcclone import verify
 from pcclone.angular import (
-    HalfInt,
     IncommensurableRadicalsError,
     SignedSqrtRational,
     _allowed,
@@ -35,7 +35,10 @@ SSR = SignedSqrtRational
 
 
 def h(x):
-    return HalfInt.of(x)
+    """The doubled label 2x of a half-integer x."""
+    twice = 2 * Fraction(x)
+    assert twice.denominator == 1, f"{x} is not a half-integer"
+    return int(twice)
 
 
 class TestSignedSqrtRational:
@@ -73,16 +76,6 @@ class TestSignedSqrtRational:
         assert abs(SSR(-1, Fraction(1, 2)).value() + 0.7071067811865476) < 1e-15
 
 
-class TestHalfInt:
-    def test_of(self):
-        assert HalfInt.of(Fraction(3, 2)).twice == 3
-        assert HalfInt.of(2).twice == 4
-
-    def test_of_rejects_quarters(self):
-        with pytest.raises(ValueError):
-            HalfInt.of(0.3)
-
-
 class TestClebschGordan:
     def test_stretched(self):
         assert cg(h("1/2"), h("1/2"), h("1/2"), h("1/2"), h(1), h(1)) == SSR(1, Fraction(1))
@@ -116,6 +109,21 @@ class TestClebschGordan:
         with pytest.raises(ValueError):  # |M| > J
             cg(h(1), h(1), h(1), h(1), h(1), h(2))
 
+    def test_float_label_raises(self):
+        with pytest.raises(TypeError):
+            cg(1.0, 1, 1, 1, 2, 2)
+        with pytest.raises(TypeError):
+            cg_ladder(1, 1, 1, 1, 2, 2.0)
+
+    def test_errors_print_half_integers(self):
+        for labels, message in (
+            ((-1, 1, 0, 0, 1, 0), "negative angular momentum j=-1/2"),
+            ((1, 1, 3, 0, 1, 0), "|m|=3/2 exceeds j=1/2"),
+            ((2, 1, 1, 1, 2, 2), "j-m must be integral (j=1, m=1/2)"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cg(*labels)
+
     def test_closed_form_matches_ladder_small(self):
         # one ladder walk per (j1, j2, J) yields the table for every M
         compared = 0
@@ -129,11 +137,8 @@ class TestClebschGordan:
                             tm2 = tM - tm1
                             if abs(tm2) > tj2:
                                 continue
-                            args = (
-                                HalfInt(tj1), HalfInt(tj2), HalfInt(tm1),
-                                HalfInt(tm2), HalfInt(tJ), HalfInt(tM),
-                            )
-                            assert cg(*args) == table.get(tm1, SSR.zero())
+                            want = table.get(tm1, SSR.zero())
+                            assert cg(tj1, tj2, tm1, tm2, tJ, tM) == want
                             compared += 1
         assert compared == 2408
 
@@ -148,7 +153,7 @@ class TestClebschGordan:
             ref = wigner.clebsch_gordan(*args[:2], args[4], *args[2:4], args[5])
             square = Rational(ref ** 2)
             want = SSR(int(sign(ref)), Fraction(int(square.p), int(square.q)))
-            assert cg(*(HalfInt(int(2 * a)) for a in args)) == want
+            assert cg(*(int(2 * a) for a in args)) == want
             compared += 1
         assert compared == 2408
 
@@ -181,7 +186,7 @@ class TestClebschGordan:
                             tM = tm1 + tm2
                             if abs(tM) > tJ or (tJ - tM) % 2:
                                 continue
-                            labels = [HalfInt(t) for t in (tj1, tj2, tm1, tm2, tJ, tM)]
+                            labels = (tj1, tj2, tm1, tm2, tJ, tM)
                             want = (0, 0, 1)
                             if _allowed(*labels):
                                 want = _racah(tj1, tj2, tm1, tm2, tJ, tM)
@@ -206,8 +211,7 @@ class TestClebschGordan:
         for tj1, tj2, tm1, tm2 in [(2, 1, 0, 1), (3, 3, 1, -1), (4, 2, -2, 0)]:
             total = sum(
                 (
-                    cg(HalfInt(tj1), HalfInt(tj2), HalfInt(tm1), HalfInt(tm2),
-                       HalfInt(tJ), HalfInt(tm1 + tm2)).square()
+                    cg(tj1, tj2, tm1, tm2, tJ, tm1 + tm2).square()
                     for tJ in range(max(abs(tj1 - tj2), abs(tm1 + tm2)), tj1 + tj2 + 1, 2)
                 ),
                 Fraction(0),

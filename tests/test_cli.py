@@ -15,7 +15,7 @@ import pcclone
 from pcclone import verify
 from pcclone.angular import gamma, gamma_closed_form
 from pcclone.cli import build_parser, main
-from pcclone.cloner import covariance_defect
+from pcclone.cloner import covariance_defect, scheme_kernel
 from pcclone.statekit import PlaneId
 
 
@@ -111,7 +111,7 @@ class TestSimulate:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["plane"] == "xz"
-        assert abs(float(row["fid_2"]) - 5 / 6) < 1e-10
+        assert abs(float(row["fidelity"]) - 5 / 6) < 1e-10
 
     def test_seeded_runs_deterministic(self, capsys):
         args = ("simulate", "--M", "3", "--seed", "7", "--format", "json")
@@ -123,7 +123,7 @@ class TestSimulate:
         rng = random.Random(7)
         probes = tuple(rng.uniform(0, 2 * math.pi) for _ in range(8))
         _, out, _ = run_cli(capsys, "simulate", "--M", "5", "--seed", "7", "--format", "json")
-        assert json.loads(out)["covariance_defect"] == covariance_defect(PlaneId.XZ, 3, "A", probes)
+        assert json.loads(out)["covariance_defect"] == covariance_defect(scheme_kernel("A", PlaneId.XZ, 3), probes)
 
     def test_seed_loads_no_numpy_random(self):
         # a fresh interpreter, so that no other test has loaded numpy.random
@@ -187,6 +187,28 @@ class TestSimulate:
             fids = payload["per_clone_fidelity"]
             assert len(fids) == M and max(abs(f - (3 * M + 1) / (4 * M)) for f in fids) <= 1e-12
             assert payload["covariance_defect"] <= 1e-12
+
+    def test_text_and_csv_print_one_fidelity(self, capsys):
+        # every clone has the same fidelity, so text and CSV carry it once at any M
+        code, out, _ = run_cli(capsys, "simulate", "--M", "100001")
+        assert code == 0
+        assert len([line for line in out.splitlines() if "fidelity, each clone" in line]) == 1
+        assert "clone 1:" not in out and len(out.splitlines()) == 7
+        code, out, _ = run_cli(capsys, "simulate", "--M", "100001", "--format", "csv")
+        header, row, *rest = out.splitlines()
+        fields = header.split(",")
+        assert code == 0 and rest == [] and len(row.split(",")) == len(fields)
+        assert "fidelity" in fields and not any(f.startswith("fid_") for f in fields)
+
+    def test_csv_fidelity_is_each_json_entry(self, capsys):
+        args = ("simulate", "--M", "101", "--plane", "yz", "--phase", "1.3")
+        _, out, _ = run_cli(capsys, *args, "--format", "csv")
+        row = next(csv.DictReader(io.StringIO(out)))
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        assert set(row) == (set(payload) - {"per_clone_fidelity"}) | {"fidelity"}
+        fids = payload["per_clone_fidelity"]
+        assert len(fids) == 101 and all(f == float(row["fidelity"]) for f in fids)
 
 
 class TestVerify:

@@ -194,11 +194,11 @@ class TestCovariance:
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_defect_small(self, plane, scheme):
-        defect = covariance_defect(plane, 2, scheme, (0.0, 0.9, 1.3, 2.1))
+        defect = covariance_defect(scheme_kernel(scheme, plane, 2), (0.0, 0.9, 1.3, 2.1))
         assert defect <= 1e-10
 
     def test_zero_angle_exact(self):
-        defect = covariance_defect(PlaneId.XY, 2, "A", (0.7,))
+        defect = covariance_defect(scheme_kernel("A", PlaneId.XY, 2), (0.7,))
         assert defect <= 1e-13
 
     def test_success_prob_phase_independent(self):
@@ -210,7 +210,7 @@ class TestCovariance:
 
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError):
-            covariance_defect(PlaneId.XZ, 2, "A", ())
+            covariance_defect(scheme_kernel("A", PlaneId.XZ, 2), ())
 
 
 def random_ket(rng, n):
@@ -383,7 +383,7 @@ class TestDickeEngine:
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_covariance_at_large_m(self, plane, scheme):
-        assert covariance_defect(plane, 1001, scheme) <= 1e-12
+        assert covariance_defect(scheme_kernel(scheme, plane, 1001)) <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme,engine", [("A", dicke_scheme_a), ("B", dicke_scheme_b)])
@@ -399,10 +399,8 @@ class TestDickeEngine:
                         for theta in probes]
                 want = max(pure_trace_distance(b, a)
                            for i, a in enumerate(back) for b in back[i + 1:])
-                kernel = scheme_kernel(scheme, plane, P)
-                for got in (covariance_defect(plane, P, scheme, probes),
-                            covariance_defect(plane, P, scheme, probes, kernel)):
-                    assert abs(got - want) <= 1e-15
+                got = covariance_defect(scheme_kernel(scheme, plane, P), probes)
+                assert abs(got - want) <= 1e-15
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_kernel_a_off_the_equator(self, plane):
