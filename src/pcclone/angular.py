@@ -105,13 +105,17 @@ def _validate_jm(tj, tm):
 
 def _allowed(tj1, tj2, tm1, tm2, tJ, tM):
     """Validate the doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M, which must be
-    integers (a float raises TypeError); False when a selection rule zeroes
-    the coefficient."""
+    integers (a float raises TypeError). Returns them as Python ints, as a
+    numpy integer would overflow in the factorial products, or None when a
+    selection rule zeroes the coefficient."""
+    labels = tuple(map(operator.index, (tj1, tj2, tm1, tm2, tJ, tM)))
+    tj1, tj2, tm1, tm2, tJ, tM = labels
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
-        _validate_jm(operator.index(tj), operator.index(tm))
-    return (tm1 + tm2 == tM
-            and abs(tj1 - tj2) <= tJ <= tj1 + tj2
-            and (tj1 + tj2 + tJ) % 2 == 0)
+        _validate_jm(tj, tm)
+    allowed = (tm1 + tm2 == tM
+               and abs(tj1 - tj2) <= tJ <= tj1 + tj2
+               and (tj1 + tj2 + tJ) % 2 == 0)
+    return labels if allowed else None
 
 
 _FACTORIALS = [1]  # n! at index n, grown on demand: the only state kept between calls
@@ -154,17 +158,20 @@ def cg(tj1, tj2, tm1, tm2, tJ, tM):
     selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail; otherwise the
     ``_racah`` triple as a ``SignedSqrtRational``.
     """
-    if not _allowed(tj1, tj2, tm1, tm2, tJ, tM):
+    labels = _allowed(tj1, tj2, tm1, tm2, tJ, tM)
+    if labels is None:
         return SignedSqrtRational.zero()
-    sign, n, d = _racah(tj1, tj2, tm1, tm2, tJ, tM)
+    sign, n, d = _racah(*labels)
     return SignedSqrtRational(sign, Fraction(n, d))
 
 
 def cg_ladder(tj1, tj2, tm1, tm2, tJ, tM):
     """Independent Clebsch-Gordan oracle: a lookup in ``ladder_states``, with
     the doubled integer labels of ``cg``."""
-    if not _allowed(tj1, tj2, tm1, tm2, tJ, tM):
+    labels = _allowed(tj1, tj2, tm1, tm2, tJ, tM)
+    if labels is None:
         return SignedSqrtRational.zero()
+    tj1, tj2, tm1, _, tJ, tM = labels
     for tm, table in ladder_states(tj1, tj2, tJ):
         if tm == tM:
             return table.get(tm1, SignedSqrtRational.zero())

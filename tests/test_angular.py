@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcclone
@@ -115,6 +116,13 @@ class TestClebschGordan:
         with pytest.raises(TypeError):
             cg_ladder(1, 1, 1, 1, 2, 2.0)
 
+    def test_numpy_integer_labels(self):
+        # a numpy label is read as a Python int, so the factorial products cannot overflow
+        for labels in ((10, 10, 2, 0, 10, 2), (40, 39, 20, 19, 79, 39)):
+            as_numpy = [np.int64(t) for t in labels]
+            assert cg(*as_numpy) == cg(*labels) != SSR.zero()
+            assert cg_ladder(*as_numpy[:5], np.int32(labels[5])) == cg(*labels)
+
     def test_errors_print_half_integers(self):
         for labels, message in (
             ((-1, 1, 0, 0, 1, 0), "negative angular momentum j=-1/2"),
@@ -188,7 +196,7 @@ class TestClebschGordan:
                                 continue
                             labels = (tj1, tj2, tm1, tm2, tJ, tM)
                             want = (0, 0, 1)
-                            if _allowed(*labels):
+                            if _allowed(*labels) is not None:
                                 want = _racah(tj1, tj2, tm1, tm2, tJ, tM)
                                 accidental_zeros += want == (0, 0, 1)
                             got = cg(*labels)
