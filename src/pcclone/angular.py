@@ -62,14 +62,10 @@ class SignedSqrtRational:
         return self.radicand
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SignedSqrtRational.from_rational(other)
         sign = self.sign * other.sign
         if sign == 0:
             return SignedSqrtRational.zero()
         return SignedSqrtRational(sign, self.radicand * other.radicand)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return SignedSqrtRational(-self.sign, self.radicand)

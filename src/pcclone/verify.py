@@ -204,7 +204,7 @@ def cloner_checks():
             )
             checks.append(
                 (f"scheme equivalence P={P} {plane.value}",
-                 scheme_equivalence_defect(plane, P, phases), 1e-12)
+                 scheme_equivalence_defect(plane, P), 1e-12)
             )
     return checks + engine_checks()
 
