@@ -20,8 +20,6 @@ from .cloner import (
     SchemeKernel,
     UqcmOutput,
     covariance_defect,
-    dicke_scheme_a,
-    dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
     run_kernel,

@@ -39,21 +39,6 @@ class SignedSqrtRational:
     def zero(cls):
         return cls(0, Fraction(0))
 
-    @classmethod
-    def sqrt(cls, r):
-        """+sqrt(r) of a nonnegative rational."""
-        r = Fraction(r)
-        if r < 0:
-            raise ValueError("cannot take sqrt of a negative rational")
-        return cls(0 if r == 0 else 1, r)
-
-    @classmethod
-    def from_rational(cls, r):
-        r = Fraction(r)
-        if r == 0:
-            return cls.zero()
-        return cls(1 if r > 0 else -1, r * r)
-
     def value(self):
         return self.sign * math.sqrt(self.radicand)
 
@@ -69,24 +54,6 @@ class SignedSqrtRational:
 
     def __neg__(self):
         return SignedSqrtRational(-self.sign, self.radicand)
-
-    def __add__(self, other):
-        """Guarded sum: only legal when the radicands are commensurable.
-
-        a*sqrt(r1) + b*sqrt(r2) is again sign*sqrt(r) only when r1/r2 is the
-        square of a rational; anything else raises.
-        """
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self.radicand, other.radicand
-        sign, num, den = _radical_sum((self.sign, a.numerator, a.denominator),
-                                      (other.sign, b.numerator, b.denominator))
-        return SignedSqrtRational(sign, Fraction(num, den))
-
-    def __sub__(self, other):
-        return self + (-other)
 
 
 def _validate_jm(tj, tm):

@@ -15,19 +15,19 @@ is phase-covariant: only the input amplitudes depend on the phase. So each
 scheme splits into a ``SchemeKernel``, built once per (scheme, plane, P) with
 everything the input does not enter, and an O(M) apply per input. ``simulate``
 builds one kernel per command and shares it between its run (``run_kernel``)
-and the probes of ``covariance_defect``; ``dicke_scheme_a``/``_b`` build one
-per call. Binomial coefficients and probabilities are carried as logarithms,
-so M = 100001 runs in a quarter of a second. The ancillas enter as
-two-variable polynomials whose coefficients are read from ``plane.basis`` and
-``bell_state``: in that basis each ancilla is the m = 0 two-qubit state, a
-monomial, and the engine refuses one that is not.
+and the probes of ``covariance_defect``. Binomial coefficients and
+probabilities are carried as logarithms, so M = 100001 runs in a quarter of a
+second. The ancillas enter as two-variable polynomials whose coefficients are
+read from ``plane.basis`` and ``bell_state``: in that basis each ancilla is
+the m = 0 two-qubit state, a monomial, and the engine refuses one that is not.
 
 The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
 ``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
 oracle, used by ``verify`` and the tests. Their symmetric projection is
 matrix-free (``symmetry.symmetrize``, O(2^M) time and memory); one scheme-A
 run takes about 2 ms at M=13 and 4.6 s at M=23 (670 MiB peak) on a 2-core
-x86-64 VM with one BLAS thread, and the qubit cap stops them at M = 23.
+x86-64 VM with one BLAS thread. The dense byte budget
+(``statekit.DENSE_BYTES``, a 24-qubit ket) stops them at M = 23.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
 reports its own probability. CloneReport.success_prob is the last stage's
@@ -67,8 +67,7 @@ class CloneReport:
     """Structured result of one cloning run.
 
     success_prob is the last post-selection stage's probability and
-    success_log10 the log10 of the whole run's (see the module docstring);
-    success_log10 defaults to log10(success_prob), the one-stage case.
+    success_log10 the log10 of the whole run's (see the module docstring).
     """
 
     M: int
@@ -79,7 +78,7 @@ class CloneReport:
     per_clone_fidelity: list
     success_prob: float
     optimal_fidelity: float
-    success_log10: float = None
+    success_log10: float
 
     def __post_init__(self):
         if self.M != 2 * self.P - 1 or self.M % 2 == 0:
@@ -92,10 +91,6 @@ class CloneReport:
             raise ValueError("fidelities must lie in [0, 1]")
         if not 0 <= self.success_prob <= 1 + 1e-12:
             raise ValueError("success probability must lie in [0, 1]")
-        if self.success_log10 is None:
-            if self.success_prob == 0:
-                raise ValueError("success probability must be positive")
-            object.__setattr__(self, "success_log10", log10(self.success_prob))
         if not -np.inf < self.success_log10 <= 1e-12:
             raise ValueError("log10 success probability must be finite and <= 0")
 
@@ -111,20 +106,6 @@ class CloneReport:
             "success_log10": self.success_log10,
             "optimal_fidelity": self.optimal_fidelity,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            M=d["M"],
-            P=d["P"],
-            scheme=d["scheme"],
-            plane=PlaneId(d["plane"]),
-            input_phase=d["input_phase"],
-            per_clone_fidelity=list(d["per_clone_fidelity"]),
-            success_prob=d["success_prob"],
-            optimal_fidelity=d["optimal_fidelity"],
-            success_log10=d.get("success_log10"),
-        )
 
 
 def _make_report(scheme, plane, input_phase, P, fids, success, success_log10):
@@ -307,16 +288,6 @@ def run_kernel(kernel, input_phase):
     report = _make_report(kernel.scheme, plane, input_phase, P, [fid] * (2 * P - 1),
                           10 ** stages["final"], sum(stages.values()))
     return report, DickeOutput(plane, coeffs, stages)
-
-
-def dicke_scheme_a(input_phase, plane, P):
-    """Scheme A on Dicke coefficients: (CloneReport, DickeOutput); see ``_kernel_a``."""
-    return run_kernel(scheme_kernel("A", plane, P), input_phase)
-
-
-def dicke_scheme_b(input_phase, plane, P):
-    """Scheme B on Dicke coefficients: (CloneReport, DickeOutput); see ``_kernel_b``."""
-    return run_kernel(scheme_kernel("B", plane, P), input_phase)
 
 
 def dicke_rotation(plane, angle, M):

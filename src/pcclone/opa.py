@@ -123,9 +123,10 @@ def evolve(state, gain, order):
         term = (-1j * gain / j) * h(term)
         acc = acc + term
     remainder = float(np.linalg.norm((-1j * gain / (order + 1)) * h(term)))
-    if _boundary_population(state.cutoff, acc) > 1e-8:
+    if not _boundary_population(state.cutoff, acc) <= 1e-8:  # NaN: the series overflowed
         raise CutoffOverflowError(
-            "series pushed population onto the truncation boundary; raise the cutoff"
+            "series pushed population onto the truncation boundary or overflowed; "
+            "raise the cutoff or lower the gain"
         )
     if abs(gain) > 0.5:
         warnings.warn("perturbative series is unreliable for |gain| > 0.5")

@@ -7,7 +7,6 @@ Unnormalized kets are legal values (they arise after projective post-selection).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -16,26 +15,22 @@ import numpy as np
 
 EQ_TOL = 1e-12       # entrywise / overlap equality
 
-DEFAULT_MAX_QUBITS = 24
+# largest dense complex array the oracle allocates: a 24-qubit ket, a 12-qubit matrix
+DENSE_BYTES = 2 ** 28
 
 
 class CapacityError(Exception):
-    """Raised when an operation would exceed the qubit capacity cap."""
+    """Raised before a dense array larger than DENSE_BYTES is allocated."""
 
 
-def max_qubits():
-    """Capacity cap on total qubit count; override with PCCLONE_MAX_QUBITS."""
-    text = os.environ.get("PCCLONE_MAX_QUBITS", str(DEFAULT_MAX_QUBITS))
-    try:
-        return int(text)
-    except ValueError:
-        raise CapacityError(f"PCCLONE_MAX_QUBITS must be an integer (got {text!r})") from None
-
-
-def _check_capacity(n):
-    cap = max_qubits()
-    if n > cap:
-        raise CapacityError(f"{n} qubits exceeds capacity cap of {cap}")
+def _check_capacity(entries):
+    """Refuse a dense complex array of ``entries`` entries over DENSE_BYTES."""
+    needed = entries * np.dtype(complex).itemsize
+    if needed > DENSE_BYTES:
+        raise CapacityError(
+            f"a dense array of {entries} entries needs {needed} bytes, "
+            f"over the budget of {DENSE_BYTES} bytes"
+        )
 
 
 # Pauli matrices
@@ -186,6 +181,7 @@ def equatorial_orthogonal(plane, phase):
 
 
 def basis_state(num_qubits, index):
+    _check_capacity(2 ** num_qubits)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[index] = 1.0
     return Ket(num_qubits, amps)
@@ -205,12 +201,12 @@ def bell_state(which):
 def tensor(a, b):
     """Kronecker product; qubit indices of b shift up by a.num_qubits."""
     n = a.num_qubits + b.num_qubits
-    _check_capacity(n)
+    _check_capacity(2 ** n)
     return Ket(n, np.kron(a.amplitudes, b.amplitudes))
 
 
 def tensor_all(kets):
-    _check_capacity(sum(k.num_qubits for k in kets))
+    _check_capacity(2 ** sum(k.num_qubits for k in kets))
     out = kets[0]
     for k in kets[1:]:
         out = tensor(out, k)
@@ -255,6 +251,7 @@ def permute_qubits(state, order):
 def outer(ket):
     """|psi><psi| as a DensityOp (ket need not be normalized)."""
     v = ket.amplitudes
+    _check_capacity(v.size ** 2)
     return DensityOp(ket.num_qubits, np.outer(v, v.conj()))
 
 
@@ -267,6 +264,7 @@ def partial_trace(rho_or_ket, keep):
         raise IndexError("invalid keep list")
     k = len(keep)
     if isinstance(rho_or_ket, Ket):
+        _check_capacity(4 ** k)
         psi = np.moveaxis(_as_axes(rho_or_ket), keep, range(k))
         m = psi.reshape(2 ** k, -1)
         return DensityOp(k, m @ m.conj().T)

@@ -37,6 +37,7 @@ def dicke_state(label, basis=None):
     default is the computational basis.
     """
     n, k = label.n, label.k
+    _check_capacity(2 ** n)
     amps = np.zeros(2 ** n, dtype=complex)
     for excited in combinations(range(n), k):
         idx = sum(1 << (n - 1 - q) for q in excited)
@@ -55,8 +56,8 @@ def symmetric_projector(n, basis=None):
     Built as the sum of Dicke outer products; the resulting matrix is
     independent of the defining basis pair.
     """
-    _check_capacity(n)
     dim = 2 ** n
+    _check_capacity(dim * dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for k in range(n + 1):
         v = dicke_state(DickeLabel(n, k), basis).amplitudes
@@ -147,12 +148,11 @@ def project_and_postselect(state, subset):
 
 
 def concatenation_defect(P):
-    """Max-norm defect of Pi^{2P-1} (Pi^P x I^{P-1}) = Pi^{2P-1} as dense matrices."""
+    """Max-norm defect of Pi^{2P-1} (Pi^P x I^{P-1}) = Pi^{2P-1} as dense matrices.
+    Pi^{2P-1} is built first and none is larger, so its capacity check guards all."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    n = 2 * P - 1
-    _check_capacity(n)
-    big = symmetric_projector(n)
+    big = symmetric_projector(2 * P - 1)
     if P == 1:
         small = np.eye(2, dtype=complex)
     else:

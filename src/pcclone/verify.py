@@ -30,10 +30,9 @@ from .angular import (
 from .cloner import (
     DEFAULT_PROBE_PHASES,
     covariance_defect,
-    dicke_scheme_a,
-    dicke_scheme_b,
     pqcm_scheme_a,
     pqcm_scheme_b,
+    run_kernel,
     scheme_equivalence_defect,
     scheme_kernel,
 )
@@ -216,14 +215,14 @@ def _log10(fraction):
 def engine_checks():
     """The Dicke engine against the dense oracle and the closed forms F1, F2."""
     checks = []
-    pairs = ((dicke_scheme_a, pqcm_scheme_a), (dicke_scheme_b, pqcm_scheme_b))
+    pairs = (("A", pqcm_scheme_a), ("B", pqcm_scheme_b))
     phases = (0.0, 0.9, 4.1)
     for plane in sk.PlaneId:
         worst = 0.0
         for P in range(2, 8):
             for theta in phases:
-                for engine, dense in pairs:
-                    report, out = engine(theta, plane, P)
+                for scheme, dense in pairs:
+                    report, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                     ref, ket = dense(theta, plane, P)
                     ref_coeffs = sym.dicke_coefficients(ket, plane.basis)
                     worst = max(
@@ -243,8 +242,8 @@ def engine_checks():
         uqcm_stage = _log10(Fraction(P + 1, 2 ** P))
         final_stage = _log10(projection_norm_sq(P)) if P <= 301 else None
         total = _log10(Fraction(2 ** P, comb(2 * P, P)))
-        for engine in (dicke_scheme_a, dicke_scheme_b):
-            report, out = engine(0.9, plane, P)
+        for scheme in ("A", "B"):
+            report, out = run_kernel(scheme_kernel(scheme, plane, P), 0.9)
             # F1: (|D_{P-1}> + e^{i phase}|D_P>)/sqrt2 in the plane basis
             weights = np.abs(out.coeffs) ** 2
             off_weight = max(off_weight, weights[: P - 1].sum() + weights[P + 1:].sum())

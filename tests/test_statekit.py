@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcclone.statekit import (
+    DENSE_BYTES,
     SIGMA_Y,
     BellKind,
     CapacityError,
     Ket,
     PhaseRotation,
     PlaneId,
+    _check_capacity,
     apply,
     basis_state,
     bell_state,
@@ -21,7 +25,9 @@ from pcclone.statekit import (
     phase_rotate,
     same_up_to_phase,
     tensor,
+    tensor_all,
 )
+from pcclone.symmetry import DickeLabel, concatenation_defect, dicke_state, symmetric_projector
 
 PLANES = list(PlaneId)
 
@@ -93,10 +99,42 @@ def test_tensor_norm_multiplies():
     assert abs(tensor(a, b).norm_sq - 0.25) < 1e-12
 
 
-def test_tensor_capacity(monkeypatch):
-    monkeypatch.setenv("PCCLONE_MAX_QUBITS", "3")
+def test_tensor_capacity():
+    # 25 qubits are 2^25 amplitudes, 512 MiB: refused before np.kron
     with pytest.raises(CapacityError):
-        tensor(bell_state(BellKind.PhiPlus), bell_state(BellKind.PhiPlus))
+        tensor_all([basis_state(1, 0)] * 25)
+
+
+def test_capacity_is_a_byte_budget():
+    # 256 MiB is a 24-qubit ket or a 12-qubit matrix of complex128
+    assert DENSE_BYTES == 2 ** 28
+    assert _check_capacity(2 ** 24) is None and _check_capacity(4 ** 12) is None
+    with pytest.raises(CapacityError, match=f"needs {2 ** 30} bytes, over the budget of {2 ** 28} bytes"):
+        symmetric_projector(13)
+
+
+KET_13 = basis_state(13, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric_projector(13),          # 4^13 entries, 1 GiB
+    lambda: concatenation_defect(7),          # its first matrix is symmetric_projector(13)
+    lambda: dicke_state(DickeLabel(25, 0)),   # 2^25 entries, 512 MiB
+    lambda: basis_state(25, 0),
+    lambda: tensor(KET_13, KET_13),           # 2^26 entries
+    lambda: outer(KET_13),                    # 4^13 entries
+    lambda: partial_trace(KET_13, list(range(13))),
+], ids=["symmetric_projector", "concatenation_defect", "dicke_state", "basis_state",
+        "tensor", "outer", "partial_trace"])
+def test_dense_budget_refuses_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_apply_pauli_y():
