@@ -17,7 +17,7 @@ import warnings
 from .angular import central_binomials, gamma, gamma_closed_form
 from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_kernel, scheme_kernel
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
-from .statekit import PlaneId, equatorial_state, fidelity
+from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -221,7 +221,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
-    except (ConfigError, CutoffOverflowError) as exc:
+    except (CapacityError, ConfigError, CutoffOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

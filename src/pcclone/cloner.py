@@ -10,24 +10,25 @@ Two routes to the optimal 1 -> M = 2P-1 equatorial cloner:
 
 Every state the schemes post-select is permutation-symmetric, so the Dicke
 engine holds an M-qubit output as its M+1 coefficients on the Dicke states of
-``plane.basis``, and each stage's success probability as a log10. The machine
-is phase-covariant: only the input amplitudes depend on the phase. So each
-scheme splits into a ``SchemeKernel``, built once per (scheme, plane, P) with
-everything the input does not enter, and an O(M) apply per input. ``simulate``
-builds one kernel per command and shares it between its run (``run_kernel``)
-and the probes of ``covariance_defect``. Binomial coefficients and
-probabilities are carried as logarithms, so M = 100001 runs in a quarter of a
-second. The ancillas enter as two-variable polynomials whose coefficients are
-read from ``plane.basis`` and ``bell_state``: in that basis each ancilla is
-the m = 0 two-qubit state, a monomial, and the engine refuses one that is not.
+``plane.basis``, and each stage's success probability as a log10. In that
+basis each ancilla is the m = 0 two-qubit state, a monomial (the engine
+refuses one that is not), so by the binomial theorem both schemes output
+a0 |D_{P-1}> + a1 |D_P>, times one common factor, for any input a0 |0> + a1 |1>.
+The machine is phase-covariant: only the input amplitudes depend on the
+phase. So each scheme splits into a ``SchemeKernel``, built once per
+(scheme, plane, P) with everything the input does not enter, and an apply
+per input that writes the two coefficients. ``simulate`` builds one kernel
+per command and shares it between its run (``run_kernel``) and the probes of
+``covariance_defect``. Binomial coefficients and probabilities are carried
+as logarithms, so M = 100001 runs in a quarter of a second.
 
 The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
 ``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
 oracle, used by ``verify`` and the tests. Their symmetric projection is
 matrix-free (``symmetry.symmetrize``, O(2^M) time and memory); one scheme-A
 run takes about 2 ms at M=13 and 4.6 s at M=23 (670 MiB peak) on a 2-core
-x86-64 VM with one BLAS thread. The dense byte budget
-(``statekit.DENSE_BYTES``, a 24-qubit ket) stops them at M = 23.
+x86-64 VM with one BLAS thread. The dense byte budget (``statekit.DENSE_BYTES``,
+2^24 amplitudes) stops them at M = 23 and the engine at M = 2^24 - 1.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
 reports its own probability. CloneReport.success_prob is the last stage's
@@ -144,11 +145,11 @@ class DickeOutput:
 @dataclass(frozen=True)
 class SchemeKernel:
     """One scheme at (plane, P) without its input (a0, a1), which ``output`` and
-    ``stage_log10`` apply in O(M). Both schemes output the polynomial
-    (a0 + a1 x) x^(P-1) common, common = exp(ln_common) phase_common, in
-    plane.basis; ln_binom_m is ln C(M, .), and for scheme A uqcm_terms holds
-    (2 ln w_m, ln C(P, .), ln C(P-1, P-1-m)), the universal-cloner stage's
-    terms, which |a0|^2 and |a1|^2 weight apart (see ``_kernel_a``).
+    ``stage_log10`` apply. Both schemes output common (a0 |D_{P-1}> + a1 |D_P>)
+    in plane.basis, where common = exp(ln_common) phase_common is the ancilla
+    power (t01 + t10)^(P-1) over sqrt(C(M, P)) = sqrt(C(M, P-1)). For scheme A,
+    uqcm_terms holds the ln of the universal-cloner stage's 2P terms, the first
+    P weighted by |a0|^2 and the last P by |a1|^2 (see ``scheme_kernel``).
     """
 
     scheme: str
@@ -156,34 +157,24 @@ class SchemeKernel:
     P: int
     ln_common: float
     phase_common: complex
-    ln_binom_m: np.ndarray
-    uqcm_terms: tuple = None
+    uqcm_terms: np.ndarray = None
 
     def output(self, a):
-        """Normalized coefficients of (a0 + a1 x) x^(P-1) common, each divided by
-        sqrt(C(M, k)), and ln of their squared norm."""
-        P = self.P
-        ln_mag = np.full(2 * P, -np.inf)
-        phase = np.zeros(2 * P, dtype=complex)
-        ln_mag[P - 1:P + 1] = np.log(np.abs(a)) + self.ln_common
-        phase[P - 1:P + 1] = a / np.abs(a) * self.phase_common
-        ln_mag -= 0.5 * self.ln_binom_m
-        top = np.max(ln_mag)
-        coeffs = np.exp(ln_mag - top) * phase
-        norm_sq = float(np.vdot(coeffs, coeffs).real)
-        return coeffs / np.sqrt(norm_sq), 2 * top + np.log(norm_sq)
+        """The normalized M+1 coefficients, a phase_common / |a| on D_{P-1} and
+        D_P and zero elsewhere, and ln of the whole run's probability."""
+        a = np.asarray(a, dtype=complex)
+        norm_sq = float(np.vdot(a, a).real)
+        coeffs = np.zeros(2 * self.P, dtype=complex)
+        coeffs[self.P - 1:self.P + 1] = a * (self.phase_common / np.sqrt(norm_sq))
+        return coeffs, 2 * self.ln_common + np.log(norm_sq)
 
     def stage_log10(self, a, ln_total):
         """log10 of each stage's probability for the input a, where ln_total is
         the ln of the whole run's probability (from ``output``)."""
         if self.uqcm_terms is None:
             return {"final": ln_total / np.log(10)}
-        two_ln_w, ln_clone, ln_anti = self.uqcm_terms
-        ln_terms = np.concatenate((
-            2 * np.log(abs(a[0])) + two_ln_w - ln_clone[:-1] - ln_anti,
-            2 * np.log(abs(a[1])) + two_ln_w - ln_clone[1:] - ln_anti,
-        ))
-        ln_uqcm, _ = _log_sum(ln_terms, np.ones(2 * self.P))
+        weights = np.repeat(np.abs(a) ** 2, self.P)
+        ln_uqcm = _log_sum(self.uqcm_terms, weights)
         return {"uqcm": ln_uqcm / np.log(10), "final": (ln_total - ln_uqcm) / np.log(10)}
 
 
@@ -194,18 +185,18 @@ def _ln_binomials(n):
     return np.concatenate(([0.0], np.cumsum(np.log((n - k) / (k + 1))).astype(float)))
 
 
-def _log_sum(ln_mag, phase):
-    """sum_i exp(ln_mag[i]) phase[i], without overflow, as (ln |sum|, sum / |sum|).
+def _log_sum(ln_mag, weights):
+    """ln |sum_i exp(ln_mag[i]) weights[i]|, without overflow.
 
     A sum that cancels to below 1e-7 of its terms' total modulus (a projection
     probability below 1e-14 of the unprojected weight) counts as vanished.
     """
     top = np.max(ln_mag)
     scaled = np.exp(ln_mag - top)
-    total = complex(scaled @ phase)
-    if abs(total) <= 1e-7 * scaled.sum():
+    total = abs(scaled @ weights)
+    if total <= 1e-7 * (scaled @ np.abs(weights)):
         raise VanishingProjectionError("the projection onto the symmetric subspace vanished")
-    return top + np.log(abs(total)), total / abs(total)
+    return top + np.log(total)
 
 
 @cache
@@ -230,51 +221,45 @@ def _pair_table(plane, ket, name):
     return table
 
 
-def _kernel_a(plane, P):
-    """Scheme A's kernel.
-
-    With s marking a clone qubit in |psi_perp> and u an anticlone qubit, the
-    input times the P-1 singlets, the NOT already applied to each anticlone,
-    is (a0 + a1 s)(alpha u + beta s)^(P-1) = sum_{j,l} coef_{j,l} s^j u^l,
-    nonzero only on the diagonals j + l = P-1 and P. The universal-cloner
-    stage keeps sum |coef_{j,l}|^2 / (C(P, j) C(P-1, l)) and the final
-    projection leaves c_k = sum_{j+l=k} coef_{j,l} / sqrt(C(M, k)).
-    """
-    # the NOT on the anticlone multiplies its column by the flip's diagonal
-    pair = _pair_table(plane, sk.bell_state(BellKind.PsiMinus), "the singlet")
-    pair = pair * _flip_signs(plane)
-    alpha, beta = pair[0, 1], pair[1, 0]
-    # coef_{m, P-1-m} = a0 w_m and coef_{m+1, P-1-m} = a1 w_m, with
-    # w_m = C(P-1, m) beta^m alpha^(P-1-m)
-    m = np.arange(P)
-    ln_binom = _ln_binomials(P - 1)
-    ln_w = ln_binom + m * np.log(abs(beta)) + (P - 1 - m) * np.log(abs(alpha))
-    phase_w = np.exp(1j * (m * np.angle(beta) + (P - 1 - m) * np.angle(alpha)))
-    ln_diag, phase_diag = _log_sum(ln_w, phase_w)
-    # C(P-1, l) at l = P-1-m is ln_binom reversed
-    return SchemeKernel("A", plane, P, ln_diag, phase_diag, _ln_binomials(2 * P - 1),
-                        (2 * ln_w, _ln_binomials(P), ln_binom[::-1]))
-
-
-def _kernel_b(plane, P):
-    """Scheme B's kernel.
-
-    The input polynomial a0 + a1 x times the Bell polynomial
-    (b00 + (b01 + b10) x + b11 x^2)^(P-1), then c_k = coeff_k / sqrt(C(M, k)).
-    In the plane basis the Bell polynomial is the monomial beta x, so its
-    power is beta^(P-1) x^(P-1).
-    """
-    pair = _pair_table(plane, sk.bell_state(plane.bell_kind), "the Bell ancilla")
-    beta = pair[0, 1] + pair[1, 0]
-    return SchemeKernel("B", plane, P, (P - 1) * np.log(abs(beta)),
-                        np.exp(1j * (P - 1) * np.angle(beta)), _ln_binomials(2 * P - 1))
-
-
 def scheme_kernel(scheme, plane, P):
-    """The SchemeKernel of scheme "A" or "B" at (plane, P), P >= 2."""
+    """The SchemeKernel of scheme "A" or "B" at (plane, P), P >= 2.
+
+    With s marking a qubit in |psi_perp> on the input's side of each ancilla
+    pair and u on the other side, the input times the P-1 ancillas is
+    (a0 + a1 s)(alpha u + beta s)^(P-1), alpha = t01 and beta = t10 of the
+    ancilla table: scheme B's Bell ancilla, or scheme A's singlet with the
+    NOT already applied to its anticlone u. The final projection sets s = u = x,
+    so by the binomial theorem the output is (a0 + a1 x)(alpha + beta)^(P-1) x^(P-1),
+    and c_k = coeff_k / sqrt(C(M, k)). Scheme A's universal-cloner stage
+    first projects the P clones alone. Its term s^j u^(P-1-m), j = m or m+1,
+    has coefficient a0 w_m or a1 w_m, w_m = C(P-1, m) beta^m alpha^(P-1-m), and
+    it keeps sum_m |w_m|^2 / C(P-1, m) (|a0|^2 / C(P, m) + |a1|^2 / C(P, m+1)),
+    an O(P) sum.
+    """
+    if scheme not in ("A", "B"):
+        raise ValueError("scheme must be 'A' or 'B'")
     if P < 2:
         raise ValueError("P must be >= 2")
-    return (_kernel_a if scheme == "A" else _kernel_b)(plane, P)
+    sk._check_capacity(2 * P)
+    if scheme == "A":
+        # the NOT on the anticlone multiplies its column by the flip's diagonal
+        pair = _pair_table(plane, sk.bell_state(BellKind.PsiMinus), "the singlet") * _flip_signs(plane)
+    else:
+        pair = _pair_table(plane, sk.bell_state(plane.bell_kind), "the Bell ancilla")
+    alpha, beta = pair[0, 1], pair[1, 0]
+    # _log_sum's vanishing rule, on the two terms of the ancilla power's base
+    if abs(alpha + beta) <= 1e-7 * (abs(alpha) + abs(beta)):
+        raise VanishingProjectionError("the projection onto the symmetric subspace vanished")
+    ln_common = (P - 1) * np.log(abs(alpha + beta)) - 0.5 * _ln_binomials(2 * P - 1)[P]
+    phase_common = np.exp(1j * (P - 1) * np.angle(alpha + beta))
+    if scheme == "B":
+        return SchemeKernel("B", plane, P, ln_common, phase_common)
+    m = np.arange(P)
+    # ln |w_m|^2 / C(P-1, m)
+    ln_w = _ln_binomials(P - 1) + 2 * (m * np.log(abs(beta)) + (P - 1 - m) * np.log(abs(alpha)))
+    ln_clone = _ln_binomials(P)
+    uqcm_terms = np.concatenate((ln_w - ln_clone[:-1], ln_w - ln_clone[1:]))
+    return SchemeKernel("A", plane, P, ln_common, phase_common, uqcm_terms)
 
 
 def run_kernel(kernel, input_phase):
@@ -299,14 +284,9 @@ def dicke_rotation(plane, angle, M):
     and |D_k> takes r0^(M-k) r1^k. The integer exponent d0 (M-k) + d1 k is
     summed before it meets the angle, so the phase is exact where it is small.
     """
-    return np.exp(-0.5j * plane.orientation * angle * _rotation_exponent(plane, M))
-
-
-def _rotation_exponent(plane, M):
-    """The integer exponent d0 (M-k) + d1 k of ``dicke_rotation``, for k = 0..M."""
     d = _flip_signs(plane)
     k = np.arange(M + 1)
-    return d[0] * (M - k) + d[1] * k
+    return np.exp(-0.5j * plane.orientation * angle * (d[0] * (M - k) + d[1] * k))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +373,12 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
-    plane, P = kernel.plane, kernel.P
+    plane, M = kernel.plane, 2 * kernel.P - 1
     inv = plane.basis.conj().T
-    # dicke_rotation(plane, -theta, M), with its exponent built once for all probes
-    turn, exponent = -0.5j * plane.orientation, _rotation_exponent(plane, 2 * P - 1)
     rotated_back = []
     for theta in probe_phases:
         coeffs, _ = kernel.output(inv @ sk.equatorial_state(plane, theta).amplitudes)
-        rotated_back.append(np.exp(turn * -theta * exponent) * coeffs)
+        rotated_back.append(dicke_rotation(plane, -theta, M) * coeffs)
         sk._check_normalized(rotated_back[-1])
     return max((sk._pure_distance(b, a)
                 for i, a in enumerate(rotated_back) for b in rotated_back[i + 1:]), default=0.0)

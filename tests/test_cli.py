@@ -318,6 +318,8 @@ class TestOpa:
     ["no-such-command"],
     [],
     ["simulate"],
+    ["simulate", "--M", "16777217"],  # over the dense byte budget: 2^24 + 2 coefficients
+    ["simulate", "--P", "1000000000000000000000"],
 ])
 def test_argument_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -36,6 +36,7 @@ from pcclone.statekit import (
     pure_trace_distance,
     same_up_to_phase,
     tensor,
+    tensor_all,
     trace_distance,
 )
 from pcclone.symmetry import (
@@ -50,6 +51,8 @@ PLANES = list(PlaneId)
 # test ids of the engine runs as they read when each scheme had its own
 # engine function, so that test reports stay comparable across versions
 ENGINE_IDS = ["dicke_scheme_a", "dicke_scheme_b"]
+# inputs a0|0> + a1|1> in plane.basis off the equator: |a0| != |a1|, and the two poles
+OFF_EQUATOR = (np.array([np.sqrt(0.8), np.sqrt(0.2) * np.exp(0.7j)]), [1, 0], [0, 1])
 
 
 def plane_basis(plane, theta):
@@ -408,20 +411,38 @@ class TestDickeEngine:
     @pytest.mark.parametrize("plane", PLANES)
     def test_kernel_a_off_the_equator(self, plane):
         # an input with |a0| != |a1|: an equatorial one weights the |a0|^2 and
-        # |a1|^2 terms alike, so it passes a kernel that reads one amplitude for both
+        # |a1|^2 terms alike, so it passes a kernel that reads one amplitude for
+        # both; the poles zero one amplitude, which has no log and no phase
         for P in range(2, 7):
-            a = np.array([np.sqrt(0.8), np.sqrt(0.2) * np.exp(0.7j)])
             kernel = scheme_kernel("A", plane, P)
-            coeffs, ln_total = kernel.output(a)
-            stages = kernel.stage_log10(a, ln_total)
-            source = uqcm(Ket(1, plane.basis @ a), P)
-            assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
-            state = source.state
-            for q in source.anticlone_qubits:
-                state = apply(plane.flip_pauli, [q], state)
-            _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
-            assert abs(10 ** stages["final"] - success) <= 1e-12
-            assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
+            for a in OFF_EQUATOR:
+                with np.errstate(all="raise"):
+                    coeffs, ln_total = kernel.output(a)
+                    stages = kernel.stage_log10(a, ln_total)
+                source = uqcm(Ket(1, plane.basis @ a), P)
+                assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
+                assert abs(10 ** stages["uqcm"] - (P + 1) / 2 ** P) <= 1e-12
+                state = source.state
+                for q in source.anticlone_qubits:
+                    state = apply(plane.flip_pauli, [q], state)
+                _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
+                assert abs(10 ** stages["final"] - success) <= 1e-12
+                assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_kernel_b_off_the_equator(self, plane):
+        bell = bell_state(plane.bell_kind)
+        for P in range(2, 7):
+            kernel = scheme_kernel("B", plane, P)
+            for a in OFF_EQUATOR:
+                with np.errstate(all="raise"):
+                    coeffs, ln_total = kernel.output(a)
+                    stages = kernel.stage_log10(a, ln_total)
+                state = tensor_all([Ket(1, plane.basis @ a)] + [bell] * (P - 1))
+                _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
+                assert abs(10 ** stages["final"] - success) <= 1e-12
+                assert abs(10 ** stages["final"] - 2 ** P / comb(2 * P, P)) <= 1e-12
+                assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
 
     def test_refuses_non_monomial_ancilla(self, monkeypatch):
         phi_plus = bell_state(BellKind.PhiPlus)  # |00> + |11>: m = +-1, not 0, in the xy basis
@@ -436,10 +457,22 @@ class TestDickeEngine:
         with pytest.raises(VanishingProjectionError):
             run_kernel(scheme_kernel("A", PlaneId.YZ, 3), 0.4)
 
+    def test_scheme_b_with_singlet_ancillas_vanishes(self, monkeypatch):
+        # the singlet's term (u - s)^(P-1) cancels as in scheme A without the NOT
+        singlet = bell_state(BellKind.PsiMinus)
+        monkeypatch.setattr(cloner.sk, "bell_state", lambda kind: singlet)
+        with pytest.raises(VanishingProjectionError):
+            run_kernel(scheme_kernel("B", PlaneId.YZ, 3), 0.4)
+
     def test_needs_p_at_least_2(self):
         for scheme in ("A", "B"):
             with pytest.raises(ValueError):
                 run_kernel(scheme_kernel(scheme, PlaneId.XZ, 1), 0.0)
+
+    @pytest.mark.parametrize("scheme", ["a", "C"])
+    def test_refuses_unknown_scheme(self, scheme):
+        with pytest.raises(ValueError, match="scheme"):
+            scheme_kernel(scheme, PlaneId.XZ, 3)
 
 
 class TestCloneReport:
