@@ -8,19 +8,19 @@ Two routes to the optimal 1 -> M = 2P-1 equatorial cloner:
 * scheme B: direct symmetrization of the input qubit with P-1 copies of the
   plane's Bell ancilla.
 
-Every state the schemes post-select is permutation-symmetric, so the Dicke
-engine holds an M-qubit output as its M+1 coefficients on the Dicke states of
-``plane.basis``, and each stage's success probability as a log10. In that
-basis each ancilla is the m = 0 two-qubit state, a monomial (the engine
-refuses one that is not), so by the binomial theorem both schemes output
-a0 |D_{P-1}> + a1 |D_P>, times one common factor, for any input a0 |0> + a1 |1>.
-The machine is phase-covariant: only the input amplitudes depend on the
-phase. So each scheme splits into a ``SchemeKernel``, built once per
-(scheme, plane, P) with everything the input does not enter, and an apply
-per input that writes the two coefficients. ``simulate`` builds one kernel
-per command and shares it between its run (``run_kernel``) and the probes of
-``covariance_defect``. Binomial coefficients and probabilities are carried
-as logarithms, so M = 100001 runs in a quarter of a second.
+Every state the schemes post-select is permutation-symmetric, and in
+``plane.basis`` each ancilla is the m = 0 two-qubit state, a monomial (the
+engine refuses one that is not). So by the binomial theorem both schemes
+output a0 |D_{P-1}> + a1 |D_P>, times one common factor, for any input
+a0 |0> + a1 |1>, and the Dicke engine holds an M-qubit output as that
+two-coefficient window (``DickeOutput``), with each stage's success
+probability as a log10. The machine is phase-covariant: only the input
+amplitudes depend on the phase. So each scheme splits into a
+``SchemeKernel``, built once per (scheme, plane, P) in O(1) with everything
+the input does not enter, and an apply per input (or batch of inputs) that
+writes the two coefficients. ``simulate`` builds one kernel per command and
+shares it between its run (``run_kernel``) and the probes of
+``covariance_defect``; only the report's list of M equal fidelities is O(M).
 
 The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
 ``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import log10
+from math import comb, log, log10, pi
 
 import numpy as np
 
@@ -96,13 +96,14 @@ class CloneReport:
             raise ValueError("log10 success probability must be finite and <= 0")
 
     def to_dict(self):
+        """The fields as JSON types; per_clone_fidelity is the report's own list."""
         return {
             "M": self.M,
             "P": self.P,
             "scheme": self.scheme,
             "plane": self.plane.value,
             "input_phase": self.input_phase,
-            "per_clone_fidelity": list(self.per_clone_fidelity),
+            "per_clone_fidelity": self.per_clone_fidelity,
             "success_prob": self.success_prob,
             "success_log10": self.success_log10,
             "optimal_fidelity": self.optimal_fidelity,
@@ -125,31 +126,35 @@ def _make_report(scheme, plane, input_phase, P, fids, success, success_log10):
 
 
 # ---------------------------------------------------------------------------
-# Dicke engine: M+1 coefficients in plane.basis, probabilities as log10
+# Dicke engine: a two-coefficient window in plane.basis, probabilities as log10
 
 
 @dataclass(frozen=True)
 class DickeOutput:
-    """Normalized symmetric M-qubit output of the Dicke engine.
+    """Normalized symmetric M-qubit output of the Dicke engine, as a window.
 
-    coeffs[k] is the amplitude of the Dicke state with k of the M qubits in
-    |psi_perp>, in plane.basis. stage_log10 maps each post-selection stage
-    ("uqcm" for scheme A, then "final") to the log10 of its probability.
+    coeffs[i] is the amplitude of the Dicke state with offset + i of the
+    num_qubits = M qubits in |psi_perp>, in plane.basis; every other amplitude
+    is zero (the engine's window: offset P - 1, two entries). stage_log10 maps
+    each post-selection stage ("uqcm" for scheme A, then "final") to the log10
+    of its probability.
     """
 
     plane: PlaneId
+    num_qubits: int
+    offset: int
     coeffs: np.ndarray
     stage_log10: dict
 
 
 @dataclass(frozen=True)
 class SchemeKernel:
-    """One scheme at (plane, P) without its input (a0, a1), which ``output`` and
-    ``stage_log10`` apply. Both schemes output common (a0 |D_{P-1}> + a1 |D_P>)
-    in plane.basis, where common = exp(ln_common) phase_common is the ancilla
+    """One scheme at (plane, P) without its input (a0, a1), which ``output``
+    applies. Both schemes output common (a0 |D_{P-1}> + a1 |D_P>) in
+    plane.basis, where common = exp(ln_common) phase_common is the ancilla
     power (t01 + t10)^(P-1) over sqrt(C(M, P)) = sqrt(C(M, P-1)). For scheme A,
-    uqcm_terms holds the ln of the universal-cloner stage's 2P terms, the first
-    P weighted by |a0|^2 and the last P by |a1|^2 (see ``scheme_kernel``).
+    ln_uqcm is the ln of the universal-cloner stage's probability, the same
+    for every input (see ``scheme_kernel``); scheme B has no such stage.
     """
 
     scheme: str
@@ -157,57 +162,34 @@ class SchemeKernel:
     P: int
     ln_common: float
     phase_common: complex
-    uqcm_terms: np.ndarray = None
+    ln_uqcm: float = None
 
     def output(self, a):
-        """The normalized M+1 coefficients, a phase_common / |a| on D_{P-1} and
-        D_P and zero elsewhere, and ln of the whole run's probability."""
+        """The normalized window a phase_common / |a| on D_{P-1}, D_P and ln of
+        the whole run's probability; a of shape (..., 2) applies the kernel to
+        every input along the leading axes at once."""
         a = np.asarray(a, dtype=complex)
-        norm_sq = float(np.vdot(a, a).real)
-        coeffs = np.zeros(2 * self.P, dtype=complex)
-        coeffs[self.P - 1:self.P + 1] = a * (self.phase_common / np.sqrt(norm_sq))
+        norm_sq = (a.conj() * a).real.sum(axis=-1)
+        coeffs = a * (self.phase_common / np.sqrt(norm_sq))[..., None]
         return coeffs, 2 * self.ln_common + np.log(norm_sq)
 
-    def stage_log10(self, a, ln_total):
-        """log10 of each stage's probability for the input a, where ln_total is
-        the ln of the whole run's probability (from ``output``)."""
-        if self.uqcm_terms is None:
+    def stage_log10(self, ln_total):
+        """log10 of each stage's probability, where ln_total is the ln of the
+        whole run's probability (from ``output``)."""
+        if self.ln_uqcm is None:
             return {"final": ln_total / np.log(10)}
-        weights = np.repeat(np.abs(a) ** 2, self.P)
-        ln_uqcm = _log_sum(self.uqcm_terms, weights)
-        return {"uqcm": ln_uqcm / np.log(10), "final": (ln_total - ln_uqcm) / np.log(10)}
-
-
-def _ln_binomials(n):
-    """ln C(n, k) for k = 0..n, summed from the ratios C(n, k+1)/C(n, k) = (n-k)/(k+1)
-    in extended precision (where numpy has it), so the running sum loses no digits."""
-    k = np.arange(n, dtype=np.longdouble)
-    return np.concatenate(([0.0], np.cumsum(np.log((n - k) / (k + 1))).astype(float)))
-
-
-def _log_sum(ln_mag, weights):
-    """ln |sum_i exp(ln_mag[i]) weights[i]|, without overflow.
-
-    A sum that cancels to below 1e-7 of its terms' total modulus (a projection
-    probability below 1e-14 of the unprojected weight) counts as vanished.
-    """
-    top = np.max(ln_mag)
-    scaled = np.exp(ln_mag - top)
-    total = abs(scaled @ weights)
-    if total <= 1e-7 * (scaled @ np.abs(weights)):
-        raise VanishingProjectionError("the projection onto the symmetric subspace vanished")
-    return top + np.log(total)
+        return {"uqcm": self.ln_uqcm / np.log(10), "final": (ln_total - self.ln_uqcm) / np.log(10)}
 
 
 @cache
 def _flip_signs(plane):
-    """The diagonal (d0, d1) = (+-1, -+1) of plane.flip_pauli in plane.basis."""
+    """The diagonal (d0, d1) = (+-1, -+1) of plane.flip_pauli in plane.basis, as ints."""
     b = plane.basis
     flip = b.conj().T @ plane.flip_pauli @ b
     signs = np.rint(flip.diagonal().real)
     if np.max(np.abs(flip - np.diag(signs))) > MONOMIAL_TOL:
         raise ValueError(f"flip_pauli is not diagonal in the {plane.value} basis")
-    return tuple(signs)
+    return tuple(int(s) for s in signs)
 
 
 def _pair_table(plane, ket, name):
@@ -221,8 +203,18 @@ def _pair_table(plane, ket, name):
     return table
 
 
+def _ln_binom_m_p(P):
+    """ln C(2P-1, P) = ln C(M, P) in O(1): exact below P = 64, else Stirling's
+    series for ln C(2P, P) - ln 2, whose next term, 17/(14336 P^7), is below
+    3e-16 there (lgamma(2P) - lgamma(P+1) - lgamma(P) rounds ~2 log2(2P) times worse)."""
+    if P < 64:
+        return log(comb(2 * P - 1, P))
+    x = 1 / P
+    return (2 * P - 1) * log(2) - 0.5 * log(pi * P) + x * (-1 / 8 + x * x * (1 / 192 - x * x / 640))
+
+
 def scheme_kernel(scheme, plane, P):
-    """The SchemeKernel of scheme "A" or "B" at (plane, P), P >= 2.
+    """The SchemeKernel of scheme "A" or "B" at (plane, P), P >= 2, in O(1).
 
     With s marking a qubit in |psi_perp> on the input's side of each ancilla
     pair and u on the other side, the input times the P-1 ancillas is
@@ -230,11 +222,12 @@ def scheme_kernel(scheme, plane, P):
     ancilla table: scheme B's Bell ancilla, or scheme A's singlet with the
     NOT already applied to its anticlone u. The final projection sets s = u = x,
     so by the binomial theorem the output is (a0 + a1 x)(alpha + beta)^(P-1) x^(P-1),
-    and c_k = coeff_k / sqrt(C(M, k)). Scheme A's universal-cloner stage
-    first projects the P clones alone. Its term s^j u^(P-1-m), j = m or m+1,
-    has coefficient a0 w_m or a1 w_m, w_m = C(P-1, m) beta^m alpha^(P-1-m), and
-    it keeps sum_m |w_m|^2 / C(P-1, m) (|a0|^2 / C(P, m) + |a1|^2 / C(P, m+1)),
-    an O(P) sum.
+    and c_k = coeff_k / sqrt(C(M, k)). Scheme A's universal-cloner stage first
+    projects the P clones alone; with w_m = C(P-1, m) beta^m alpha^(P-1-m) it
+    keeps sum_m |w_m|^2 / C(P-1, m) (|a0|^2 / C(P, m) + |a1|^2 / C(P, m+1)). For
+    |alpha| = |beta|, as for the singlet in every plane, both inner sums are
+    (P+1)/2 |alpha|^(2(P-1)), so the stage keeps (P+1)/2^P of a normalized
+    input; a table with |alpha| != |beta| raises ValueError.
     """
     if scheme not in ("A", "B"):
         raise ValueError("scheme must be 'A' or 'B'")
@@ -247,46 +240,45 @@ def scheme_kernel(scheme, plane, P):
     else:
         pair = _pair_table(plane, sk.bell_state(plane.bell_kind), "the Bell ancilla")
     alpha, beta = pair[0, 1], pair[1, 0]
-    # _log_sum's vanishing rule, on the two terms of the ancilla power's base
+    # a base cancelling to below 1e-7 of its terms (1e-14 in probability) has vanished
     if abs(alpha + beta) <= 1e-7 * (abs(alpha) + abs(beta)):
         raise VanishingProjectionError("the projection onto the symmetric subspace vanished")
-    ln_common = (P - 1) * np.log(abs(alpha + beta)) - 0.5 * _ln_binomials(2 * P - 1)[P]
+    ln_common = (P - 1) * np.log(abs(alpha + beta)) - 0.5 * _ln_binom_m_p(P)
     phase_common = np.exp(1j * (P - 1) * np.angle(alpha + beta))
     if scheme == "B":
         return SchemeKernel("B", plane, P, ln_common, phase_common)
-    m = np.arange(P)
-    # ln |w_m|^2 / C(P-1, m)
-    ln_w = _ln_binomials(P - 1) + 2 * (m * np.log(abs(beta)) + (P - 1 - m) * np.log(abs(alpha)))
-    ln_clone = _ln_binomials(P)
-    uqcm_terms = np.concatenate((ln_w - ln_clone[:-1], ln_w - ln_clone[1:]))
-    return SchemeKernel("A", plane, P, ln_common, phase_common, uqcm_terms)
+    if abs(abs(alpha) - abs(beta)) > 1e-12:
+        raise ValueError(f"the universal-cloner stage needs |t01| = |t10|, got {abs(alpha):.3e}, {abs(beta):.3e}")
+    ln_uqcm = np.log((P + 1) / 2) + 2 * (P - 1) * np.log(abs(alpha))
+    return SchemeKernel("A", plane, P, ln_common, phase_common, ln_uqcm)
 
 
 def run_kernel(kernel, input_phase):
     """The kernel's scheme on one input phase: (CloneReport, DickeOutput)."""
     plane, P = kernel.plane, kernel.P
+    M = 2 * P - 1
     target = sk.equatorial_state(plane, input_phase)
-    a = plane.basis.conj().T @ target.amplitudes
-    coeffs, ln_total = kernel.output(a)
-    stages = {name: float(value) for name, value in kernel.stage_log10(a, ln_total).items()}
-    fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis), target)
-    report = _make_report(kernel.scheme, plane, input_phase, P, [fid] * (2 * P - 1),
+    coeffs, ln_total = kernel.output(plane.basis.conj().T @ target.amplitudes)
+    stages = {name: float(value) for name, value in kernel.stage_log10(ln_total).items()}
+    fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis, P - 1, M), target)
+    report = _make_report(kernel.scheme, plane, input_phase, P, [fid] * M,
                           10 ** stages["final"], sum(stages.values()))
-    return report, DickeOutput(plane, coeffs, stages)
+    return report, DickeOutput(plane, M, P - 1, coeffs, stages)
 
 
-def dicke_rotation(plane, angle, M):
+def dicke_rotation(plane, angle, M, k):
     """PhaseRotation(plane, angle) on all M qubits, as the diagonal it is on
-    Dicke coefficients in plane.basis.
+    Dicke coefficients in plane.basis, at the Dicke indices k.
 
     R = exp(-i s angle flip/2) with s = plane.orientation, and flip is
     diag(d0, d1) in plane.basis, so R = diag(r0, r1), r_i = exp(-i s angle d_i/2),
     and |D_k> takes r0^(M-k) r1^k. The integer exponent d0 (M-k) + d1 k is
-    summed before it meets the angle, so the phase is exact where it is small.
+    summed exactly before it meets the angle: on the window k = P-1, P it is
+    d0 and -d0 at any M. An array of angles gives one row per angle.
     """
-    d = _flip_signs(plane)
-    k = np.arange(M + 1)
-    return np.exp(-0.5j * plane.orientation * angle * (d[0] * (M - k) + d[1] * k))
+    d0, d1 = _flip_signs(plane)
+    k = np.asarray(k)
+    return np.exp(-0.5j * plane.orientation * np.multiply.outer(angle, d0 * (M - k) + d1 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +359,20 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     As R(x) R(y) = R(x + y) and the trace distance is unitarily invariant,
     D(out_b, R(theta_b - theta_a) out_a) = D(R(-theta_b) out_b, R(-theta_a) out_a),
     so each output is rotated back once, by its own phase, before the pairs.
-    The kernel is shared by the probes, so a probe costs one O(M) apply and
-    rotation; the distance is symmetric, so each unordered pair is measured
-    once, and each probe's norm is checked once, before the pairs.
+    The probes go through the kernel as one batch of inputs, are rotated on
+    their two-entry window only, and every pair's distance comes from one
+    broadcast call, so a call costs O(n^2) in the n probes and O(1) in M.
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
-    plane, M = kernel.plane, 2 * kernel.P - 1
-    inv = plane.basis.conj().T
-    rotated_back = []
-    for theta in probe_phases:
-        coeffs, _ = kernel.output(inv @ sk.equatorial_state(plane, theta).amplitudes)
-        rotated_back.append(dicke_rotation(plane, -theta, M) * coeffs)
-        sk._check_normalized(rotated_back[-1])
-    return max((sk._pure_distance(b, a)
-                for i, a in enumerate(rotated_back) for b in rotated_back[i + 1:]), default=0.0)
+    plane, P = kernel.plane, kernel.P
+    theta = np.asarray(probe_phases, dtype=float)
+    # each equatorial_state(plane, theta) in plane.basis: (1, e^{i theta})/sqrt2
+    inputs = np.exp(np.multiply.outer(theta, (0, 1j))) / np.sqrt(2)
+    coeffs, _ = kernel.output(inputs)
+    back = dicke_rotation(plane, -theta, 2 * P - 1, (P - 1, P)) * coeffs
+    distance = sk.pure_trace_distance(back[:, None], back[None, :])
+    return float(np.max(distance, where=~np.eye(len(theta), dtype=bool), initial=0.0))
 
 
 def scheme_equivalence_defect(plane, P, probe_phases=DEFAULT_PROBE_PHASES):

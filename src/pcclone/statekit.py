@@ -304,31 +304,24 @@ def pure_trace_distance(a, b):
     """Trace distance sqrt(1 - |<a|b>|^2) between two normalized pure states,
     given as Kets or as amplitude vectors in one basis (Dicke coefficients).
 
-    Evaluated as sqrt(||a - e^{i phi} b||^2 (1 + |<a|b>|) / 2), with e^{i phi}
-    aligning b's global phase to a, so that nearly equal states do not lose
-    their distance to cancellation in 1 - |<a|b>|^2.
+    Arrays hold the amplitudes on their last axis and broadcast over the
+    leading ones, giving one distance per broadcast pair; two vectors give a
+    float. Each vector must have unit norm to 1e-10. Evaluated as
+    sqrt(||a - e^{i phi} b||^2 (1 + |<a|b>|) / 2), with e^{i phi} aligning b's
+    global phase to a, so that nearly equal states do not lose their
+    distance to cancellation in 1 - |<a|b>|^2.
     """
     a, b = (np.asarray(getattr(x, "amplitudes", x)) for x in (a, b))
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError("dimension mismatch between kets")
-    _check_normalized(a)
-    _check_normalized(b)
-    return _pure_distance(a, b)
-
-
-def _check_normalized(amps):
-    """Raise ValueError unless the amplitude vector has unit norm (1e-10)."""
-    if abs(np.vdot(amps, amps).real - 1) > 1e-10:
-        raise ValueError("kets must be normalized")
-
-
-def _pure_distance(a, b):
-    """``pure_trace_distance`` of two unit vectors of one shape, unchecked."""
-    ov = complex(np.vdot(a, b))
-    mag = abs(ov)
-    phase = ov.conjugate() / mag if mag > 0 else 1.0
-    diff = a - phase * b
-    return float(np.sqrt(np.vdot(diff, diff).real * (1 + mag) / 2))
+    for amps in (a, b):
+        if np.any(np.abs((amps.conj() * amps).real.sum(axis=-1) - 1) > 1e-10):
+            raise ValueError("kets must be normalized")
+    ov = (a.conj() * b).sum(axis=-1)
+    mag = np.abs(ov)
+    diff = a - np.exp(-1j * np.angle(ov))[..., None] * b
+    dist = np.sqrt((diff.conj() * diff).real.sum(axis=-1) * (1 + mag) / 2)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def trace_distance(rho_a, rho_b):

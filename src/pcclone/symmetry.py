@@ -109,21 +109,28 @@ def dicke_coefficients(state, basis=None):
     return np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
 
 
-def dicke_reduced_density(coeffs, basis=None):
-    """Normalized one-qubit reduced state of sum_k c_k |D_k>, in O(n).
+def dicke_reduced_density(coeffs, basis=None, offset=0, num_qubits=None):
+    """Normalized one-qubit reduced state of sum_k c_k |D_k>, in O(len(coeffs)).
 
     |D_k> has k of its n qubits in |phi_perp>; ``basis`` has the columns
-    {|phi>, |phi_perp>} (default: computational). Every qubit of a symmetric
-    state has this state: rho_00 = sum |c_k|^2 (n-k)/n and
-    rho_01 = sum c_k conj(c_{k+1}) sqrt((n-k)(k+1))/n.
+    {|phi>, |phi_perp>} (default: computational). ``coeffs`` is a window: it
+    holds c_k for k = offset, ..., offset + len(coeffs) - 1 of an n-qubit state
+    (n = num_qubits), and every other c_k is zero; by default the window is
+    the whole vector, n = len(coeffs) - 1. Every qubit of a symmetric state
+    has this state: rho_00 = sum |c_k|^2 (n-k)/n and
+    rho_01 = sum c_k conj(c_{k+1}) sqrt((n-k)(k+1))/n, summed over the window.
     """
     c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
+    n = len(c) - 1 if num_qubits is None else num_qubits
+    k = np.arange(offset, offset + len(c), dtype=float)
     weight = float(np.vdot(c, c).real)
     if n < 1 or weight == 0:
         raise ValueError("need a nonzero state on at least one qubit")
-    rho00 = float(np.abs(c) ** 2 @ np.arange(n, -1, -1)) / n
-    root = np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1))  # sqrt((n-k)(k+1))
+    if offset < 0 or offset + len(c) - 1 > n:
+        raise ValueError(f"window of {len(c)} at offset {offset} does not fit {n} qubits")
+    rest = n - k
+    rho00 = float(np.abs(c) ** 2 @ rest) / n
+    root = np.sqrt(rest[:-1] * k[1:])  # sqrt((n-k)(k+1))
     rho01 = complex(c[:-1] @ (c[1:].conj() * root)) / n
     rho = np.array([[rho00, rho01], [rho01.conjugate(), weight - rho00]]) / weight
     if basis is not None:

@@ -217,6 +217,7 @@ def engine_checks():
     checks = []
     pairs = (("A", pqcm_scheme_a), ("B", pqcm_scheme_b))
     phases = (0.0, 0.9, 4.1)
+    off_weight = 0.0
     for plane in sk.PlaneId:
         worst = 0.0
         for P in range(2, 8):
@@ -225,9 +226,11 @@ def engine_checks():
                     report, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                     ref, ket = dense(theta, plane, P)
                     ref_coeffs = sym.dicke_coefficients(ket, plane.basis)
+                    # F1 on the oracle: the engine's window holds all its weight
+                    off_weight = max(off_weight, np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum())
                     worst = max(
                         worst,
-                        1 - abs(np.vdot(ref_coeffs, out.coeffs)),
+                        1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)),
                         abs(report.success_prob - ref.success_prob),
                         abs(report.success_log10 - ref.success_log10),
                         abs(report.per_clone_fidelity[0] - ref.per_clone_fidelity[0]),
@@ -235,7 +238,7 @@ def engine_checks():
         checks.append((f"Dicke engine == dense oracle (M <= 13) {plane.value}", worst, 1e-12))
 
     sizes = (*range(2, 8), 301, 1001)
-    off_weight = pair_defect = 0.0
+    pair_defect = 0.0
     stage_defect = {"uqcm": 0.0, "final": 0.0, "total": 0.0}
     for P in sizes:
         plane = list(sk.PlaneId)[P % 3]
@@ -245,9 +248,7 @@ def engine_checks():
         for scheme in ("A", "B"):
             report, out = run_kernel(scheme_kernel(scheme, plane, P), 0.9)
             # F1: (|D_{P-1}> + e^{i phase}|D_P>)/sqrt2 in the plane basis
-            weights = np.abs(out.coeffs) ** 2
-            off_weight = max(off_weight, weights[: P - 1].sum() + weights[P + 1:].sum())
-            pair_defect = max(pair_defect, *(abs(w - 0.5) for w in weights[P - 1:P + 1]))
+            pair_defect = max(pair_defect, *(abs(w - 0.5) for w in np.abs(out.coeffs) ** 2))
             stage_defect["total"] = max(
                 stage_defect["total"], abs(report.success_log10 / total - 1))
             if "uqcm" in out.stage_log10:
@@ -256,7 +257,7 @@ def engine_checks():
                 if final_stage is not None:
                     stage_defect["final"] = max(
                         stage_defect["final"], abs(out.stage_log10["final"] / final_stage - 1))
-    checks.append(("F1 engine weight off D_{P-1}, D_P (P <= 1001)", off_weight, 1e-30))
+    checks.append(("F1 dense oracle weight off D_{P-1}, D_P (M <= 13)", off_weight, 1e-27))
     checks.append(("F1 engine |c_{P-1}|^2 = |c_P|^2 = 1/2 (P <= 1001)", pair_defect, 1e-12))
     checks.append(("F2 UQCM stage log10 (P+1)/2^P, relative (P <= 1001)", stage_defect["uqcm"], 1e-12))
     checks.append(("F2 final stage log10 projection_norm_sq(P), relative (P <= 301)",

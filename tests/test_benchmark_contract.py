@@ -9,6 +9,9 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ import pcclone.cli
 from pcclone.cloner import pqcm_scheme_a, pqcm_scheme_b
 from pcclone.statekit import Ket, PlaneId
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -57,3 +61,11 @@ def test_simulate_json_carries_the_checked_fields(capsys):
     assert payload["M"] == 5 and payload["scheme"] == "B"
     assert len(payload["per_clone_fidelity"]) == 5
     assert {"success_prob", "covariance_defect"} <= set(payload)
+
+
+def test_smoke_script_passes():
+    # bytecode off, so that the run leaves nothing under perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

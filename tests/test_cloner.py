@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, log10
 
@@ -311,7 +312,7 @@ class TestDickeEngine:
                 report, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                 ref, ket = dense(theta, plane, P)
                 ref_coeffs = dicke_coefficients(ket, plane.basis)
-                assert 1 - abs(np.vdot(ref_coeffs, out.coeffs)) <= 1e-12
+                assert 1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)) <= 1e-12
                 assert abs(report.success_prob - ref.success_prob) <= 1e-12
                 assert abs(report.success_log10 - ref.success_log10) <= 1e-12
                 assert max(abs(f - g) for f, g in
@@ -326,10 +327,10 @@ class TestDickeEngine:
         theta = 0.3 + P
         for plane in PLANES:
             _, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
+            assert (out.num_qubits, out.offset, out.coeffs.shape) == (2 * P - 1, P - 1, (2,))
             weights = np.abs(out.coeffs) ** 2
-            assert np.delete(weights, [P - 1, P]).sum() <= 1e-30
-            assert max(abs(weights[P - 1] - 0.5), abs(weights[P] - 0.5)) <= 1e-12
-            ratio = out.coeffs[P] / out.coeffs[P - 1]
+            assert max(abs(weights[0] - 0.5), abs(weights[1] - 0.5)) <= 1e-12
+            ratio = out.coeffs[1] / out.coeffs[0]
             assert abs(ratio - np.exp(1j * theta)) <= 1e-12
 
     @pytest.mark.parametrize("P", [*range(2, 13), 301])
@@ -360,7 +361,8 @@ class TestDickeEngine:
             coeffs = poly / np.sqrt([comb(M, k) for k in range(M + 1)])
             coeffs /= np.linalg.norm(coeffs)
             _, out = run_kernel(scheme_kernel("B", plane, P), theta)
-            assert np.max(np.abs(out.coeffs - coeffs)) <= 1e-12
+            assert np.max(np.abs(out.coeffs - coeffs[P - 1:P + 1])) <= 1e-12
+            assert np.delete(np.abs(coeffs) ** 2, [P - 1, P]).sum() <= 1e-27
 
     def test_fidelity_matches_exact_gamma(self):
         worst = 0.0
@@ -383,7 +385,32 @@ class TestDickeEngine:
             for angle in (0.4, -2.3, 7.0):
                 turned = phase_rotate(PhaseRotation(plane, angle), ket, list(range(M)))
                 want = dicke_coefficients(turned, plane.basis)
-                assert np.max(np.abs(dicke_rotation(plane, angle, M) * coeffs - want)) <= 1e-12
+                turn = dicke_rotation(plane, angle, M, np.arange(M + 1))
+                assert np.max(np.abs(turn * coeffs - want)) <= 1e-12
+
+    def test_rotation_on_the_window_at_huge_m(self):
+        # the exponent d0 (M-k) + d1 k is the integer d0 at k = P-1 and -d0 at
+        # k = P; summed in floats past 2^53 it would lose the +-1
+        M = 10 ** 17 + 1
+        P = (M + 1) // 2
+        thetas = np.array([0.3, -2.0, 5.5])
+        for plane in PLANES:
+            half = 0.5 * plane.orientation * thetas * cloner._flip_signs(plane)[0]
+            want = np.exp(np.stack((-1j * half, 1j * half), axis=-1))
+            assert np.max(np.abs(dicke_rotation(plane, thetas, M, (P - 1, P)) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_kernel_and_probes_allocate_no_o_m_array(self, scheme):
+        # M = 2^24 - 1, the byte budget's edge: one (M+1)-entry complex
+        # vector there is 256 MiB
+        tracemalloc.start()
+        try:
+            defect = covariance_defect(scheme_kernel(scheme, PlaneId.YZ, 2 ** 23))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert defect <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme", ["A", "B"])
@@ -400,7 +427,7 @@ class TestDickeEngine:
         for P in (*range(2, 9), 301, 1001):
             M = 2 * P - 1
             for probes in (cloner.DEFAULT_PROBE_PHASES, seeded):
-                back = [dicke_rotation(plane, -theta, M)
+                back = [dicke_rotation(plane, -theta, M, (P - 1, P))
                         * run_kernel(scheme_kernel(scheme, plane, P), theta)[1].coeffs
                         for theta in probes]
                 want = max(pure_trace_distance(b, a)
@@ -418,7 +445,7 @@ class TestDickeEngine:
             for a in OFF_EQUATOR:
                 with np.errstate(all="raise"):
                     coeffs, ln_total = kernel.output(a)
-                    stages = kernel.stage_log10(a, ln_total)
+                    stages = kernel.stage_log10(ln_total)
                 source = uqcm(Ket(1, plane.basis @ a), P)
                 assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
                 assert abs(10 ** stages["uqcm"] - (P + 1) / 2 ** P) <= 1e-12
@@ -427,7 +454,8 @@ class TestDickeEngine:
                     state = apply(plane.flip_pauli, [q], state)
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
-                assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
+                ref_coeffs = dicke_coefficients(final, plane.basis)[P - 1:P + 1]
+                assert 1 - abs(np.vdot(ref_coeffs, coeffs)) <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_kernel_b_off_the_equator(self, plane):
@@ -437,12 +465,13 @@ class TestDickeEngine:
             for a in OFF_EQUATOR:
                 with np.errstate(all="raise"):
                     coeffs, ln_total = kernel.output(a)
-                    stages = kernel.stage_log10(a, ln_total)
+                    stages = kernel.stage_log10(ln_total)
                 state = tensor_all([Ket(1, plane.basis @ a)] + [bell] * (P - 1))
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
                 assert abs(10 ** stages["final"] - 2 ** P / comb(2 * P, P)) <= 1e-12
-                assert 1 - abs(np.vdot(dicke_coefficients(final, plane.basis), coeffs)) <= 1e-12
+                ref_coeffs = dicke_coefficients(final, plane.basis)[P - 1:P + 1]
+                assert 1 - abs(np.vdot(ref_coeffs, coeffs)) <= 1e-12
 
     def test_refuses_non_monomial_ancilla(self, monkeypatch):
         phi_plus = bell_state(BellKind.PhiPlus)  # |00> + |11>: m = +-1, not 0, in the xy basis
@@ -450,6 +479,14 @@ class TestDickeEngine:
         for scheme in ("A", "B"):
             with pytest.raises(ValueError, match="monomial"):
                 run_kernel(scheme_kernel(scheme, PlaneId.XY, 3), 0.0)
+
+    def test_scheme_a_refuses_unequal_ancilla_moduli(self, monkeypatch):
+        # (2|01> - |10>)/sqrt5 is a monomial in the xy basis, but its
+        # universal-cloner stage is not (P+1)/2^P
+        skewed = Ket(2, np.array([0, 2, -1, 0]) / np.sqrt(5))
+        monkeypatch.setattr(cloner.sk, "bell_state", lambda kind: skewed)
+        with pytest.raises(ValueError, match=r"\|t01\| = \|t10\|"):
+            scheme_kernel("A", PlaneId.XY, 3)
 
     def test_scheme_a_without_the_not_vanishes(self, monkeypatch):
         # without the flip the singlet term (u - s)^(P-1) cancels on every diagonal

@@ -159,3 +159,17 @@ def test_symmetrize_rejects_bad_subset():
         symmetrize(psi, [0, 0])
     with pytest.raises(IndexError):
         symmetrize(psi, [1, 3])
+
+
+def test_dicke_reduced_density_on_a_window():
+    rng = np.random.default_rng(4)
+    n = 9
+    for offset, size in ((0, 10), (3, 2), (8, 2), (4, 1), (2, 5)):
+        window = rng.normal(size=size) + 1j * rng.normal(size=size)
+        full = np.zeros(n + 1, dtype=complex)
+        full[offset:offset + size] = window
+        got = dicke_reduced_density(window, None, offset, n).matrix
+        assert np.max(np.abs(got - dicke_reduced_density(full).matrix)) <= 1e-15
+    for offset in (-1, 9):
+        with pytest.raises(ValueError, match="window"):
+            dicke_reduced_density([1, 1], None, offset, n)
