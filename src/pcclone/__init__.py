@@ -5,7 +5,6 @@ parametric-amplifier model."""
 from .angular import (
     SignedSqrtRational,
     b_coef,
-    central_binomials,
     cg,
     cg_ladder,
     d_coef,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import comb, isqrt
 
 
@@ -20,40 +21,54 @@ class IncommensurableRadicalsError(ArithmeticError):
     """Sum of two sqrt-rationals is not itself a sqrt-rational."""
 
 
-@dataclass(frozen=True)
-class SignedSqrtRational:
-    """Exact value sign * sqrt(radicand) with nonnegative rational radicand."""
+class SignedSqrtRational(namedtuple("SignedSqrtRational", "sign n d")):
+    """Exact value sign * sqrt(n / d), held as the reduced integer triple itself.
 
-    sign: int
-    radicand: Fraction
+    sign is -1, 0 or +1, n = 0 exactly when sign = 0, d >= 1 and
+    gcd(n, d) = 1, so equal values are equal triples and zero is (0, 0, 1).
+    The constructor checks all four; this module's arithmetic, which reduces
+    as it goes, builds its triples through ``_triple`` without the check.
+    """
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    __slots__ = ()
+
+    def __new__(cls, sign, n, d):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        if (self.sign == 0) != (self.radicand == 0):
-            raise ValueError("sign is 0 iff radicand is 0")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if (sign == 0) != (n == 0):
+            raise ValueError("sign is 0 iff n is 0")
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        if math.gcd(n, d) != 1:
+            raise ValueError(f"{n}/{d} is not reduced")
+        return _triple((sign, n, d))
 
     @classmethod
     def zero(cls):
-        return cls(0, Fraction(0))
+        return _ZERO
 
     def value(self):
-        return self.sign * math.sqrt(self.radicand)
+        return self.sign * math.sqrt(self.n / self.d)
 
     def square(self):
         """Exact rational self**2."""
-        return self.radicand
+        return Fraction(self.n, self.d)
 
     def __mul__(self, other):
         sign = self.sign * other.sign
         if sign == 0:
-            return SignedSqrtRational.zero()
-        return SignedSqrtRational(sign, self.radicand * other.radicand)
+            return _ZERO
+        return _scaled((sign, self.n, self.d), other.n, other.d)
 
     def __neg__(self):
-        return SignedSqrtRational(-self.sign, self.radicand)
+        return _triple((-self.sign, self.n, self.d))
+
+
+# _triple((sign, n, d)) is that SignedSqrtRational, unchecked: the caller has reduced it
+_triple = partial(tuple.__new__, SignedSqrtRational)
+_ZERO = _triple((0, 0, 1))
 
 
 def _validate_jm(tj, tm):
@@ -81,7 +96,9 @@ def _allowed(tj1, tj2, tm1, tm2, tJ, tM):
     return labels if allowed else None
 
 
-_FACTORIALS = [1]  # n! at index n, grown on demand: the only state kept between calls
+# n! and C(2n, n) at index n, grown on demand: the only state kept between calls
+_FACTORIALS = [1]
+_CENTRAL_BINOMIALS = [1]
 
 
 def _factorials(n):
@@ -92,8 +109,16 @@ def _factorials(n):
     return table
 
 
+def _central_binomials(P):
+    """The shared table of C(2n, n) for every n < P, by c_n = c_{n-1} (4n-2) / n."""
+    table = _CENTRAL_BINOMIALS
+    for n in range(len(table), P):
+        table.append(table[-1] * (4 * n - 2) // n)
+    return table
+
+
 def _racah(a, b, x, y, c, z):
-    """The triple (sign, n, d) of <j1 m1; j2 m2 | J M> = sign sqrt(n/d), reduced.
+    """<j1 m1; j2 m2 | J M> as the reduced ``SignedSqrtRational`` (sign, n, d).
 
     Doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M that pass ``_allowed``; (0, 0, 1)
     for a zero. Racah's closed form on plain integers: the alternating sum over
@@ -118,14 +143,13 @@ def cg(tj1, tj2, tm1, tm2, tJ, tM):
     labels 2j1, 2j2, 2m1, 2m2, 2J, 2M, plain integers.
 
     Condon-Shortley phase convention. Returns zero (not an error) when the
-    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail; otherwise the
-    ``_racah`` triple as a ``SignedSqrtRational``.
+    selection rules m1+m2=M or |j1-j2| <= J <= j1+j2 fail; otherwise ``_racah``'s
+    ``SignedSqrtRational``.
     """
     labels = _allowed(tj1, tj2, tm1, tm2, tJ, tM)
     if labels is None:
-        return SignedSqrtRational.zero()
-    sign, n, d = _racah(*labels)
-    return SignedSqrtRational(sign, Fraction(n, d))
+        return _ZERO
+    return _racah(*labels)
 
 
 def cg_ladder(tj1, tj2, tm1, tm2, tJ, tM):
@@ -133,11 +157,11 @@ def cg_ladder(tj1, tj2, tm1, tm2, tJ, tM):
     the doubled integer labels of ``cg``."""
     labels = _allowed(tj1, tj2, tm1, tm2, tJ, tM)
     if labels is None:
-        return SignedSqrtRational.zero()
+        return _ZERO
     tj1, tj2, tm1, _, tJ, tM = labels
     for tm, table in ladder_states(tj1, tj2, tJ):
         if tm == tM:
-            return table.get(tm1, SignedSqrtRational.zero())
+            return table.get(tm1, _ZERO)
 
 
 def _lower_factor(twice_j, twice_m):
@@ -146,15 +170,15 @@ def _lower_factor(twice_j, twice_m):
 
 
 def _scaled(c, num, den):
-    """The triple c * sqrt(num/den), reduced; a triple (sign, n, d) is sign sqrt(n/d)."""
+    """c * sqrt(num/den) for a triple c = (sign, n, d), reduced."""
     sign, n, d = c
     n, d = n * num, d * den
     g = math.gcd(n, d)
-    return sign, n // g, d // g
+    return _triple((sign, n // g, d // g))
 
 
 def _radical_sum(a, b):
-    """The triple a + b of two nonzero triples, legal only when the ratio of
+    """a + b of two nonzero triples, legal only when the ratio of
     their radicands is the square of a rational; anything else raises."""
     (sa, na, da), (sb, nb, db) = a, b
     g = math.gcd(na * db, da * nb)
@@ -167,24 +191,23 @@ def _radical_sum(a, b):
     return _scaled(((coef > 0) - (coef < 0), nb, db), coef * coef, q)
 
 
-def _ladder_triples(tj1, tj2, tJ):
-    """Yield (2M, {2*m1: (sign, n, d)}) for M = J, J-1, ..., -J, exact.
+def ladder_states(tj1, tj2, tJ):
+    """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact.
 
-    Doubled arguments, triangle rule assumed; each triple is the reduced
-    sign sqrt(n/d) of <m1, M-m1 | J M>, and zeros are left out. |J,J> is fixed
+    Doubled arguments, triangle rule assumed; each value is a reduced
+    ``SignedSqrtRational``, and zeros are left out. |J,J> is fixed
     by J+ |J,J> = 0 (Condon-Shortley sign); one J- step per M lowers it
     through every M. The ladder never meets ``cg`` or ``_racah``.
     """
     # top state |J,J>: c(m1) / c(m1+1) fixed by J+ |J,J> = 0
     lo = max(-tj1, tJ - tj2)
-    coeffs = {tj1: (1, 1, 1)}
+    coeffs = {tj1: _triple((1, 1, 1))}
     tm1 = tj1
     while tm1 - 2 >= lo:
         tm1 -= 2
         raise1 = _lower_factor(tj1, tm1 + 2)          # <- J1+ from m1 up
         raise2 = _lower_factor(tj2, tJ - tm1)          # J2+ from m2 = J-m1-1 up
-        sign, n, d = _scaled(coeffs[tm1 + 2], raise2, raise1)
-        coeffs[tm1] = (-sign, n, d)
+        coeffs[tm1] = -_scaled(coeffs[tm1 + 2], raise2, raise1)
     common = math.lcm(*(d for _, _, d in coeffs.values()))
     norm = sum(n * (common // d) for _, n, d in coeffs.values())  # norm^2 = norm / common
     coeffs = {k: _scaled(c, common, norm) for k, c in coeffs.items()}
@@ -201,14 +224,7 @@ def _ladder_triples(tj1, tj2, tJ):
                 if tmc - 2 >= -tj:
                     add = _scaled(c, _lower_factor(tj, tmc), denom)
                     nxt[key] = _radical_sum(nxt[key], add) if key in nxt else add
-        coeffs = {k: v for k, v in nxt.items() if v[0] != 0}
-
-
-def ladder_states(tj1, tj2, tJ):
-    """Yield (2M, {2*m1: <m1, M-m1 | J M>}) for M = J, J-1, ..., -J, exact:
-    the ``_ladder_triples`` tables as ``SignedSqrtRational`` values."""
-    for tm, coeffs in _ladder_triples(tj1, tj2, tJ):
-        yield tm, {k: SignedSqrtRational(s, Fraction(n, d)) for k, (s, n, d) in coeffs.items()}
+        coeffs = {k: v for k, v in nxt.items() if v.sign != 0}
 
 
 def b_coef(P, k):
@@ -218,7 +234,8 @@ def b_coef(P, k):
         raise ValueError("P must be >= 1")
     if not 0 <= k <= P - 1:
         raise ValueError(f"k={k} out of range for P={P}")
-    return SignedSqrtRational((-1) ** k, Fraction(2 * (P - k), P * (P + 1)))
+    rad = Fraction(2 * (P - k), P * (P + 1))
+    return SignedSqrtRational((-1) ** k, rad.numerator, rad.denominator)
 
 
 def d_coef(P, k):
@@ -228,7 +245,7 @@ def d_coef(P, k):
     if not 0 <= k <= P - 1:
         raise ValueError(f"k={k} out of range for P={P}")
     rad = Fraction(2, P + 1) * Fraction(comb(P - 1, k) ** 2, comb(2 * P - 1, 2 * k))
-    return SignedSqrtRational((-1) ** k, rad)
+    return SignedSqrtRational((-1) ** k, rad.numerator, rad.denominator)
 
 
 def d_coef_via_cg(P, k):
@@ -238,35 +255,17 @@ def d_coef_via_cg(P, k):
     return b_coef(P, k) * cg(P, P - 1, P - 2 * k, P - 1 - 2 * k, 2 * P - 1, 2 * P - 1 - 4 * k)
 
 
-def central_binomials(P, table=None):
-    """The list c_n = C(2n, n) grown in place to at least P entries.
-
-    A sweep over P passes the same list each time, so each entry is computed
-    once; by default a new list of P entries is built.
-    """
-    c = [] if table is None else table
-    if not c:
-        c.append(1)
-    for n in range(len(c), P):
-        c.append(c[-1] * (4 * n - 2) // n)
-    return c
-
-
-def _dicke_sums(P, table=None):
+def _dicke_sums(P):
     """(T, W): sums over k < P of t_k and (M-2k) t_k, t_k = c_k c_j (M-2k).
 
-    M = 2P-1, j = P-1-k, c_n = C(2n, n) read from ``table`` (at least P
-    entries, from ``central_binomials``; by default built here). Each
+    M = 2P-1, j = P-1-k, c_n = C(2n, n) read from the shared table. Each
     unordered pair k < j is multiplied once. With w = 2n+1, w_k + w_j = 2P and
     w_k^2 + w_j^2 = 4P^2 - 2 w_k w_j, so the pass sums S = sum c_k c_j and
     S_w = sum c_k c_j w_k w_j, and T = 2P S, W = 4P^2 S - 2 S_w; odd P adds
     the middle term k = j once. d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so both
     sums run on integers near 4^P rather than near M!.
     """
-    if table is None:
-        table = central_binomials(P)
-    elif len(table) < P:
-        raise ValueError(f"central-binomial table has {len(table)} entries, P={P} needs {P}")
+    table = _central_binomials(P)
     pairs = weighted_pairs = 0
     for k in range(P // 2):
         pair = table[k] * table[P - 1 - k]
@@ -281,28 +280,34 @@ def _dicke_sums(P, table=None):
     return total, weighted
 
 
-def projection_norm_sq(P, table=None):
-    """Exact squared norm of the symmetrized state, sum_k d_k^2 = 2 (P-1)!^2 T / ((P+1) M!)
-    = 2 T / ((P+1) (2P-1) c_{P-1}), with T from ``_dicke_sums(P, table)`` and
-    c_{P-1} = C(2P-2, P-1) from the same table, as M! = (2P-1) (P-1)!^2 c_{P-1}."""
+def _norm_from_sums(P, total):
+    """sum_k d_k^2 = 2 (P-1)!^2 T / ((P+1) M!) = 2 T / ((P+1) (2P-1) c_{P-1}),
+    as M! = (2P-1) (P-1)!^2 c_{P-1}."""
+    return Fraction(2 * total, (P + 1) * (2 * P - 1) * _central_binomials(P)[P - 1])
+
+
+def _gamma_from_sums(P, total, weighted):
+    """W / (M T)."""
+    return Fraction(weighted, (2 * P - 1) * total)
+
+
+def projection_norm_sq(P):
+    """Exact squared norm of the symmetrized state, sum_k d_k^2, from the T of
+    ``_dicke_sums``."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    table = central_binomials(P) if table is None else table
-    total, _ = _dicke_sums(P, table)
-    return Fraction(2 * total, (P + 1) * (2 * P - 1) * table[P - 1])
+    return _norm_from_sums(P, _dicke_sums(P)[0])
 
 
-def gamma(P, table=None):
+def gamma(P):
     """Exact weight of |phi><phi| in the reduced single-clone state.
 
-    W / (M T) from the O(P) term-by-term integer sums of ``_dicke_sums``; a
-    sweep over P passes one ``central_binomials`` table to every call.
+    W / (M T) from the O(P) term-by-term integer sums of ``_dicke_sums``.
     ``gamma_closed_form`` is the value it is checked against.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
-    total, weighted = _dicke_sums(P, table)
-    return Fraction(weighted, (2 * P - 1) * total)
+    return _gamma_from_sums(P, *_dicke_sums(P))
 
 
 def gamma_closed_form(P):
@@ -312,13 +317,11 @@ def gamma_closed_form(P):
 
 
 def fidelity_formula(kind, N, M=None):
-    """Closed-form optimal cloning/estimation fidelities.
+    """Closed-form optimal cloning and phase-estimation fidelities, exact Fractions.
 
-    kind: one of 'cov_odd', 'cov_even', 'universal', 'estimation',
-    'phase_estimation'. M may be None (or math.inf) for the estimation kinds
-    and for the M -> infinity limit of 'universal'. Rational results are
-    returned as exact Fractions; 'cov_even' is irrational and returned as a
-    float.
+    kind: one of 'cov_odd', 'universal', 'phase_estimation'. M may be None
+    (or math.inf) for the M -> infinity limit of 'cov_odd' and 'universal';
+    'phase_estimation' takes no M.
     """
     unbounded = M is None or M == math.inf
     if kind == "universal":
@@ -329,10 +332,6 @@ def fidelity_formula(kind, N, M=None):
         if M < N:
             raise ValueError("universal requires N <= M")
         return Fraction(N + 1 + Fraction(N, M), N + 2)
-    if kind == "estimation":
-        if N < 1:
-            raise ValueError("estimation requires N >= 1")
-        return Fraction(N + 1, N + 2)
     if kind == "phase_estimation":
         if N != 1:
             raise ValueError("phase estimation fidelity is only tabulated for N=1")
@@ -345,12 +344,4 @@ def fidelity_formula(kind, N, M=None):
         if M % 2 == 0 or M < 1:
             raise ValueError("cov_odd requires odd M >= 1")
         return Fraction(1, 2) * (1 + Fraction(M + 1, 2 * M))
-    if kind == "cov_even":
-        if N != 1:
-            raise ValueError("cov_even requires N=1")
-        if unbounded:
-            return Fraction(3, 4)
-        if M % 2 != 0 or M < 2:
-            raise ValueError("cov_even requires even M >= 2")
-        return 0.5 * (1 + math.sqrt(M * (M + 2)) / (2 * M))
     raise ValueError(f"unknown fidelity kind {kind!r}")

@@ -14,7 +14,7 @@ import sys
 import time
 import warnings
 
-from .angular import central_binomials, gamma, gamma_closed_form
+from .angular import gamma, gamma_closed_form
 from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_kernel, scheme_kernel
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
 from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
@@ -71,11 +71,9 @@ def _write(out, fmt, payload, text, rows=None):
 
 
 def _sweep_rows(max_m):
-    """One row per odd M <= max_m; the C(2n, n) table grows by one entry per P,
-    is shared by every gamma call and is freed when the last row is taken."""
-    table = []
+    """One row per odd M <= max_m."""
     for P in range(2, (max_m + 1) // 2 + 1):
-        exact = gamma(P, central_binomials(P, table))
+        exact = gamma(P)
         closed = gamma_closed_form(P)
         yield {
             "M": 2 * P - 1,

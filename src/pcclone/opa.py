@@ -11,6 +11,8 @@ the dimensionless interaction time chi*t.
 The Hamiltonian is never stored: ``evolve`` and ``first_order_output`` apply
 it matrix-free from its matrix elements, O((c+1)^2) per application, so the
 cutoff is limited by the series, not by a (c+1)^2 x (c+1)^2 matrix.
+``fock_state`` refuses a cutoff whose (c+1)^2 amplitudes exceed
+``statekit.DENSE_BYTES`` (c > 4095) before it allocates them.
 ``build_hamiltonian`` and ``hamiltonian_in_rotated_modes`` tabulate the same
 action on the identity for tests and checks.
 """
@@ -24,6 +26,7 @@ from math import comb, factorial, perm, sqrt
 
 import numpy as np
 
+from .statekit import _check_capacity
 from .symmetry import dicke_reduced_density
 
 
@@ -57,6 +60,7 @@ class FockVec:
 
 
 def fock_state(cutoff, m, n, mode_basis="HV"):
+    _check_capacity((cutoff + 1) ** 2)
     amps = np.zeros((cutoff + 1) ** 2, dtype=complex)
     amps[m * (cutoff + 1) + n] = 1.0
     return FockVec(cutoff, amps, mode_basis)

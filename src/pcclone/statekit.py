@@ -13,9 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-EQ_TOL = 1e-12       # entrywise / overlap equality
-
-# largest dense complex array the oracle allocates: a 24-qubit ket, a 12-qubit matrix
+# largest dense complex array the oracle or the amplifier allocates: a 24-qubit
+# ket, a 12-qubit matrix, the (c+1)^2 amplitudes of a cutoff c = 4095
 DENSE_BYTES = 2 ** 28
 
 
@@ -180,13 +179,6 @@ def equatorial_orthogonal(plane, phase):
     return Ket(1, amps)
 
 
-def basis_state(num_qubits, index):
-    _check_capacity(2 ** num_qubits)
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return Ket(num_qubits, amps)
-
-
 def bell_state(which):
     s = 1 / np.sqrt(2)
     table = {
@@ -293,11 +285,6 @@ def phase_rotate(rot, state, qubits):
     for q in qubits:
         out = apply(rot.matrix, [q], out)
     return out
-
-
-def same_up_to_phase(a, b, tol=EQ_TOL):
-    """Global-phase-insensitive equality of two normalized kets."""
-    return abs(a.overlap(b)) ** 2 >= 1 - tol
 
 
 def pure_trace_distance(a, b):

@@ -16,15 +16,16 @@ import numpy as np
 from . import statekit as sk
 from . import symmetry as sym
 from .angular import (
-    _ladder_triples,
+    _dicke_sums,
+    _gamma_from_sums,
+    _norm_from_sums,
     _racah,
     b_coef,
-    central_binomials,
     d_coef,
     d_coef_via_cg,
     fidelity_formula,
-    gamma,
     gamma_closed_form,
+    ladder_states,
     projection_norm_sq,
 )
 from .cloner import (
@@ -45,7 +46,7 @@ def _exact(flag):
 
 def angular_checks():
     checks = []
-    # CG orthogonality: sum over J of cg^2 = 1, exact, on Racah triples (sign, n, d)
+    # CG orthogonality: sum over J of cg^2 = 1, exact, on the reduced (sign, n, d)
     ortho_ok = True
     for tj1 in range(0, 7):
         for tj2 in range(0, 7):
@@ -63,7 +64,7 @@ def angular_checks():
     for tj1 in range(0, 11):
         for tj2 in range(0, 11 - tj1):
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                tables = list(_ladder_triples(tj1, tj2, tJ))
+                tables = list(ladder_states(tj1, tj2, tJ))
                 ladder_ok &= [tM for tM, _ in tables] == list(range(tJ, -tJ - 1, -2))
                 for tM, table in tables:
                     for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
@@ -83,8 +84,8 @@ def angular_checks():
     )
     checks.append(("sum b_k^2 = 1 (P <= 50)", _exact(b_ok), 0.0))
 
-    table = []  # C(2n, n), grown by one entry per P and shared by the two loops below
-    norms = {P: projection_norm_sq(P, central_binomials(P, table)) for P in range(1, 301)}
+    sums = {P: _dicke_sums(P) for P in range(1, 301)}  # one pass per P, read by both checks
+    norms = {P: _norm_from_sums(P, total) for P, (total, _) in sums.items()}
     norm_ok = all(n == Fraction(4 ** P, (P + 1) * comb(2 * P, P)) for P, n in norms.items())
     checks.append(("projection_norm_sq == 4^P/((P+1) C(2P,P)) (P <= 300)", _exact(norm_ok), 0.0))
     # scheme A: UQCM stage (P+1)/2^P, then the projection; scheme B: one stage
@@ -94,7 +95,7 @@ def angular_checks():
     )
     checks.append(("scheme A success == scheme B 2^(P-1)/C(2P-1,P) (P <= 300)", _exact(total_ok), 0.0))
 
-    g_ok = all(gamma(P, table) == gamma_closed_form(P) for P in range(1, 202))
+    g_ok = all(_gamma_from_sums(P, *sums[P]) == gamma_closed_form(P) for P in range(1, 202))
     checks.append(("gamma(P) == closed form (P <= 201)", _exact(g_ok), 0.0))
 
     rel_ok = all(

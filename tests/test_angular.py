@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +15,11 @@ from pcclone.angular import (
     IncommensurableRadicalsError,
     SignedSqrtRational,
     _allowed,
+    _central_binomials,
     _dicke_sums,
-    _ladder_triples,
     _racah,
     _radical_sum,
     b_coef,
-    central_binomials,
     cg,
     cg_ladder,
     d_coef,
@@ -44,7 +43,15 @@ def h(x):
 
 class TestSignedSqrtRational:
     def test_product(self):
-        assert SSR(1, Fraction(2, 3)) * SSR(-1, Fraction(1, 3)) == SSR(-1, Fraction(2, 9))
+        assert SSR(1, 2, 3) * SSR(-1, 1, 3) == SSR(-1, 2, 9)
+        assert SSR(1, 2, 3) * SSR(1, 3, 2) == SSR(1, 1, 1)
+        assert SSR(1, 2, 3) * SSR.zero() == SSR.zero() == (0, 0, 1)
+
+    def test_invalid_triples_raise(self):
+        # unreduced, mis-signed, a sign out of range, a zero denominator
+        for triple in ((1, 2, 4), (0, 1, 1), (2, 1, 1), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                SSR(*triple)
 
     def test_ladder_sum_guard_raises(self):
         # the integer-triple sum the ladder uses, on sqrt(2) + sqrt(3)
@@ -54,15 +61,16 @@ class TestSignedSqrtRational:
         assert _radical_sum((1, 5, 7), (-1, 5, 7)) == (0, 0, 1)
 
     def test_value(self):
-        assert abs(SSR(-1, Fraction(1, 2)).value() + 0.7071067811865476) < 1e-15
+        assert abs(SSR(-1, 1, 2).value() + 0.7071067811865476) < 1e-15
+        assert SSR(-1, 1, 2).square() == Fraction(1, 2)
 
 
 class TestClebschGordan:
     def test_stretched(self):
-        assert cg(h("1/2"), h("1/2"), h("1/2"), h("1/2"), h(1), h(1)) == SSR(1, Fraction(1))
+        assert cg(h("1/2"), h("1/2"), h("1/2"), h("1/2"), h(1), h(1)) == SSR(1, 1, 1)
 
     def test_triplet_zero(self):
-        assert cg(h("1/2"), h("1/2"), h("1/2"), h("-1/2"), h(1), h(0)) == SSR(1, Fraction(1, 2))
+        assert cg(h("1/2"), h("1/2"), h("1/2"), h("-1/2"), h(1), h(0)) == SSR(1, 1, 2)
 
     def test_singlet_antisymmetric(self):
         up_down = cg(h("1/2"), h("1/2"), h("1/2"), h("-1/2"), h(0), h(0))
@@ -73,7 +81,7 @@ class TestClebschGordan:
     def test_one_half_coupling(self):
         # frozen from the ladder-operator oracle
         val = cg(h(1), h("1/2"), h(0), h("1/2"), h("3/2"), h("1/2"))
-        assert val == SSR(1, Fraction(2, 3))
+        assert val == SSR(1, 2, 3)
         assert val == cg_ladder(h(1), h("1/2"), h(0), h("1/2"), h("3/2"), h("1/2"))
 
     def test_selection_rules_return_zero(self):
@@ -140,7 +148,7 @@ class TestClebschGordan:
             args = [Rational(t, 2) for t in (tj1, tj2, tm1, tM - tm1, tJ, tM)]
             ref = wigner.clebsch_gordan(*args[:2], args[4], *args[2:4], args[5])
             square = Rational(ref ** 2)
-            want = SSR(int(sign(ref)), Fraction(int(square.p), int(square.q)))
+            want = SSR(int(sign(ref)), int(square.p), int(square.q))
             assert cg(*(int(2 * a) for a in args)) == want
             compared += 1
         assert compared == 2408
@@ -152,16 +160,16 @@ class TestClebschGordan:
                     for _, table in ladder_states(tj1, tj2, tJ):
                         for value in table.values():
                             assert type(value) is SSR and value.sign != 0
-                            r = value.radicand
-                            assert type(r) is Fraction and r.denominator > 0
-                            assert gcd(r.numerator, r.denominator) == 1
+                            r = value.square()
+                            assert (r.numerator, r.denominator) == (value.n, value.d)
+                            assert gcd(value.n, value.d) == 1
 
     def test_factorial_table_not_built_at_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
-        code = "import pcclone.angular as a; print(len(a._FACTORIALS))"
+        code = "import pcclone.angular as a; print(a._FACTORIALS, a._CENTRAL_BINOMIALS)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.strip() == "1"
+        assert out.stdout.strip() == "[1] [1]"
 
     def test_racah_matches_cg(self):
         # every J and every m1 + m2 = M with 2j <= 10: selection-rule and accidental zeros
@@ -180,20 +188,10 @@ class TestClebschGordan:
                                 want = _racah(tj1, tj2, tm1, tm2, tJ, tM)
                                 accidental_zeros += want == (0, 0, 1)
                             got = cg(*labels)
-                            r = got.radicand
+                            r = got.square()
                             assert (got.sign, r.numerator, r.denominator) == want
                             compared += 1
         assert compared == 13860 and accidental_zeros > 0
-
-    def test_ladder_triples_match_ladder_states(self):
-        for tj1 in range(0, 11):
-            for tj2 in range(0, 11 - tj1):
-                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                    triples = list(_ladder_triples(tj1, tj2, tJ))
-                    states = list(ladder_states(tj1, tj2, tJ))
-                    assert [tM for tM, _ in triples] == [tM for tM, _ in states]
-                    for (_, t), (_, table) in zip(triples, states):
-                        assert {k: SSR(s, Fraction(n, d)) for k, (s, n, d) in t.items()} == table
 
     def test_orthogonality_exact(self):
         for tj1, tj2, tm1, tm2 in [(2, 1, 0, 1), (3, 3, 1, -1), (4, 2, -2, 0)]:
@@ -221,11 +219,11 @@ def _labels(max_twice):
 
 class TestCloningCoefficients:
     def test_b_p2(self):
-        assert b_coef(2, 0) == SSR(1, Fraction(2, 3))
-        assert b_coef(2, 1) == SSR(-1, Fraction(1, 3))
+        assert b_coef(2, 0) == SSR(1, 2, 3)
+        assert b_coef(2, 1) == SSR(-1, 1, 3)
 
     def test_b_p1(self):
-        assert b_coef(1, 0) == SSR(1, Fraction(1))
+        assert b_coef(1, 0) == SSR(1, 1, 1)
 
     def test_b_out_of_range(self):
         with pytest.raises(ValueError):
@@ -242,11 +240,11 @@ class TestCloningCoefficients:
             for k in range(P):
                 rad = Fraction(2, P + 1) * Fraction(factorial(P - 1) * factorial(P - k),
                                                     factorial(P) * factorial(P - 1 - k))
-                assert b_coef(P, k) == SSR((-1) ** k, rad)
+                assert b_coef(P, k) == SSR((-1) ** k, rad.numerator, rad.denominator)
 
     def test_d_p2(self):
-        assert d_coef(2, 0) == SSR(1, Fraction(2, 3))
-        assert d_coef(2, 1) == SSR(-1, Fraction(2, 9))
+        assert d_coef(2, 0) == SSR(1, 2, 3)
+        assert d_coef(2, 1) == SSR(-1, 2, 9)
 
     def test_d_two_routes_agree(self):
         for P in range(1, 21):
@@ -267,12 +265,10 @@ class TestCloningCoefficients:
             assert projection_norm_sq(P) == Fraction(4 ** P, (P + 1) * comb(2 * P, P))
 
     def test_projection_norm_matches_factorial_form(self):
-        shared = []
         for P in range(1, 301):
             want = Fraction(2 * factorial(P - 1) ** 2 * _dicke_sums(P)[0],
                             (P + 1) * factorial(2 * P - 1))
             assert projection_norm_sq(P) == want
-            assert projection_norm_sq(P, central_binomials(P, shared)) == want
 
     def test_scheme_a_total_equals_scheme_b(self):
         # UQCM stage (P+1)/2^P times the final projection, against scheme B's one stage
@@ -295,12 +291,18 @@ class TestGamma:
         assert gamma(5001) == gamma_closed_form(5001)
 
     def test_matches_binomial_ratio(self):
-        # the defining ratio over C(P-1,k)^2 / C(M,2k), in Fractions
         for P in range(1, 61):
-            M = 2 * P - 1
-            weights = [Fraction(comb(P - 1, k) ** 2, comb(M, 2 * k)) for k in range(P)]
-            weighted = sum((M - 2 * k) * w for k, w in enumerate(weights))
-            assert gamma(P) == weighted / (M * sum(weights))
+            assert gamma(P) == _gamma_by_binomials(P)
+
+
+def _gamma_by_binomials(P):
+    """The defining ratio over the weights C(P-1,k)^2 / C(M,2k), summed over
+    the lcm of their denominators."""
+    M = 2 * P - 1
+    dens = [comb(M, 2 * k) for k in range(P)]
+    common = lcm(*dens)
+    weights = [comb(P - 1, k) ** 2 * (common // d) for k, d in enumerate(dens)]
+    return Fraction(sum((M - 2 * k) * w for k, w in enumerate(weights)), M * sum(weights))
 
 
 class TestDickeSums:
@@ -317,30 +319,18 @@ class TestDickeSums:
             assert _dicke_sums(P) == (total, weighted), P
 
     def test_central_binomials(self):
-        assert central_binomials(1) == [1]
-        table = central_binomials(40)
-        assert table == [comb(2 * n, n) for n in range(40)]
-        assert central_binomials(10, table) is table and len(table) == 40
+        # one shared table, grown on demand and never shrunk
+        table = _central_binomials(40)
+        assert len(table) >= 40 and table[:40] == [comb(2 * n, n) for n in range(40)]
+        assert _central_binomials(10) is table and len(table) >= 40
 
-    def test_shared_table_matches_lone_call(self):
-        grown = []
+    def test_grown_table_matches_binomial_oracles(self):
+        # every P <= 300 reads a table already grown past it, here to P = 1001
+        assert gamma(1001) == gamma_closed_form(1001)
+        assert len(_central_binomials(1)) >= 1001
         for P in range(1, 301):
-            shared = central_binomials(P, grown)
-            assert len(shared) == P
-            assert gamma(P, shared) == gamma(P)
-            assert projection_norm_sq(P, shared) == projection_norm_sq(P)
-        # a table longer than P reads only its first P entries
-        for P in range(1, 301):
-            assert gamma(P, grown) == gamma(P)
-            assert projection_norm_sq(P, grown) == projection_norm_sq(P)
-
-    def test_short_table_raises(self):
-        table = central_binomials(5)
-        for fn in (gamma, projection_norm_sq, _dicke_sums):
-            with pytest.raises(ValueError):
-                fn(6, table)
-        with pytest.raises(ValueError):
-            gamma(1, [])
+            assert gamma(P) == _gamma_by_binomials(P), P
+            assert projection_norm_sq(P) == Fraction(4 ** P, (P + 1) * comb(2 * P, P)), P
 
 
 class TestFidelityFormula:
@@ -348,16 +338,12 @@ class TestFidelityFormula:
         assert fidelity_formula("cov_odd", 1, 3) == Fraction(5, 6)
         assert fidelity_formula("cov_odd", 1, 5) == Fraction(4, 5)
 
-    def test_cov_even(self):
-        assert abs(fidelity_formula("cov_even", 1, 2) - 0.8535533905932737) < 1e-15
-
     def test_universal(self):
         assert fidelity_formula("universal", 1, 3) == Fraction(7, 9)
         assert fidelity_formula("universal", 1, 2) == Fraction(5, 6)
 
     def test_limits(self):
         assert fidelity_formula("universal", 1, None) == Fraction(2, 3)
-        assert fidelity_formula("estimation", 1) == Fraction(2, 3)
         assert fidelity_formula("phase_estimation", 1) == Fraction(3, 4)
         assert fidelity_formula("cov_odd", 1, None) == Fraction(3, 4)
 
@@ -369,8 +355,6 @@ class TestFidelityFormula:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fidelity_formula("cov_odd", 1, 4)
-        with pytest.raises(ValueError):
-            fidelity_formula("cov_even", 1, 3)
         with pytest.raises(ValueError):
             fidelity_formula("cov_odd", 2, 3)
         with pytest.raises(ValueError):

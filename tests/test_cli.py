@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,9 +49,11 @@ class TestFidelitySweep:
         assert rows[2]["gamma_closed_form"] == "11/14"
 
     def test_rows_match_per_p_gamma(self, capsys):
-        # the shared-table sweep against one lone gamma call per P
+        # the sweep against one lone gamma call per P, and against (3M+1)/(4M),
+        # which shares no table with either
         code, out, _ = run_cli(capsys, "fidelity-sweep", "--max-m", "401", "--format", "json")
         assert code == 0
+        rows = json.loads(out)["rows"]
         expected = []
         for P in range(2, 202):
             exact, closed = gamma(P), gamma_closed_form(P)
@@ -60,7 +63,10 @@ class TestFidelitySweep:
                 "gamma_closed_form": f"{closed.numerator}/{closed.denominator}",
                 "equal": exact == closed,
             })
-        assert json.loads(out)["rows"] == expected
+        assert rows == expected
+        for row in rows:
+            M = row["M"]
+            assert Fraction(row["gamma_exact"]) == Fraction(3 * M + 1, 4 * M), M
 
     def test_bad_max_m_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "fidelity-sweep", "--max-m", "1")
@@ -294,6 +300,14 @@ class TestOpa:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "--order" in err
+
+    def test_cutoff_over_dense_budget_is_config_error(self, capsys):
+        # 100001^2 amplitudes need 149 GiB: refused before numpy allocates them
+        code, out, err = run_cli(capsys, "opa", "--cutoff", "100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"needs {16 * 100001 ** 2} bytes" in err
 
     def test_large_cutoff(self, capsys):
         code, out, _ = run_cli(capsys, "opa", "--cutoff", "200", "--format", "json")

@@ -35,7 +35,6 @@ from pcclone.statekit import (
     partial_trace,
     phase_rotate,
     pure_trace_distance,
-    same_up_to_phase,
     tensor,
     tensor_all,
     trace_distance,

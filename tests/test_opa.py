@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from pcclone import opa
 from pcclone.opa import (
     CutoffOverflowError,
     FockVec,
@@ -14,7 +16,7 @@ from pcclone.opa import (
     hamiltonian_in_rotated_modes,
     photon_reduced_density,
 )
-from pcclone.statekit import Ket, fidelity
+from pcclone.statekit import CapacityError, Ket, fidelity
 
 
 def low_sector_state(cutoff, mode_basis, rng):
@@ -32,6 +34,24 @@ def qubit_phi(phase):
 
 def qubit_phi_perp(phase):
     return Ket(1, np.array([-np.exp(-1j * phase), 1]) / np.sqrt(2))
+
+
+class TestFockState:
+    def test_budget_edge_is_admitted(self, monkeypatch):
+        # 4096^2 amplitudes are exactly 2^28 bytes; the stub keeps the test
+        # from copying them into a FockVec
+        monkeypatch.setattr(opa, "FockVec", lambda cutoff, amps, mode_basis: amps.size)
+        assert opa.fock_state(4095, 1, 0) == 4096 ** 2
+
+    def test_over_budget_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"needs {16 * 4097 ** 2} bytes"):
+                fock_state(4096, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestHamiltonian:

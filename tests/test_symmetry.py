@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone.statekit import BellKind, Ket, apply, bell_state, partial_trace, same_up_to_phase
+from pcclone.statekit import BellKind, Ket, apply, bell_state, partial_trace
 from pcclone.symmetry import (
     DickeLabel,
     VanishingProjectionError,
@@ -82,7 +82,7 @@ def test_postselect_symmetric_input_unchanged():
     sym_in = dicke_state(DickeLabel(3, 1))
     projected, success, normalized = project_and_postselect(sym_in, [0, 1, 2])
     assert abs(success - 1) < 1e-12
-    assert same_up_to_phase(normalized, sym_in)
+    assert abs(normalized.overlap(sym_in)) ** 2 >= 1 - 1e-12
 
 
 def test_postselect_vanishing_raises():
