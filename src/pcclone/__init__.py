@@ -28,7 +28,6 @@ from .cloner import (
 )
 from .opa import (
     FockVec,
-    build_hamiltonian,
     evolve,
     first_order_output,
     photon_reduced_density,
@@ -40,22 +39,15 @@ from .statekit import (
     Ket,
     PhaseRotation,
     PlaneId,
-    apply,
     bell_state,
     equatorial_state,
     fidelity,
-    partial_trace,
-    phase_rotate,
-    tensor,
 )
 from .symmetry import (
     DickeLabel,
     VanishingProjectionError,
-    concatenation_defect,
     dicke_coefficients,
-    dicke_state,
     project_and_postselect,
-    symmetric_projector,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

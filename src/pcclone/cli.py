@@ -12,9 +12,8 @@ import math
 import random
 import sys
 import time
-import warnings
 
-from .angular import gamma, gamma_closed_form
+from .angular import fidelity_formula, gamma, gamma_closed_form
 from .cloner import DEFAULT_PROBE_PHASES, covariance_defect, run_kernel, scheme_kernel
 from .opa import CutoffOverflowError, evolve, first_order_output, fock_state, photon_reduced_density
 from .statekit import CapacityError, PlaneId, equatorial_state, fidelity
@@ -95,31 +94,31 @@ def cmd_fidelity_sweep(args, out):
 
 
 def cmd_simulate(args, out):
-    P = (args.M + 1) // 2 if args.M is not None else args.P
-    plane = PlaneId(args.plane)
-    kernel = scheme_kernel(args.scheme, plane, P)
-    report, output = run_kernel(kernel, args.phase)
+    M, P = args.M, (args.M + 1) // 2
+    kernel = scheme_kernel(args.scheme, PlaneId(args.plane), P)
+    run = run_kernel(kernel, args.phase)
     probes = DEFAULT_PROBE_PHASES
     if args.seed is not None:
         rng = random.Random(args.seed)
         probes = tuple(rng.uniform(0, 2 * math.pi) for _ in range(8))
     defect = covariance_defect(kernel, probes)
-    payload = {**report.to_dict(), "covariance_defect": defect}
+    optimum = float(fidelity_formula("cov_odd", 1, M))
+    head = {"M": M, "P": P, "scheme": kernel.scheme, "plane": args.plane, "input_phase": args.phase}
+    tail = {"success_prob": run.success_prob, "success_log10": run.success_log10,
+            "optimal_fidelity": optimum, "covariance_defect": defect}
     # the output is symmetric, so every clone has the same fidelity: text and
     # CSV print it once; JSON keeps the M-entry list, which perfbench/checks.py reads
-    fid = report.per_clone_fidelity[0]
+    payload = {**head, "per_clone_fidelity": [run.fidelity] * M, **tail} if args.format == "json" else None
     # success_prob is the last stage's alone; the text names every stage and the run
-    stages = {**{f"{name} stage": v for name, v in output.stage_log10.items()},
-              "whole run": report.success_log10}
-    text = [f"1 -> {report.M} cloner, scheme {report.scheme}, plane {report.plane.value}, "
-            f"phase {report.input_phase:.6f}",
-            f"  fidelity, each clone: {fid:.12f}",
+    stages = {**{f"{name} stage": v for name, v in run.stage_log10.items()},
+              "whole run": run.success_log10}
+    text = [f"1 -> {M} cloner, scheme {kernel.scheme}, plane {args.plane}, phase {args.phase:.6f}",
+            f"  fidelity, each clone: {run.fidelity:.12f}",
             *(f"  success probability, {name + ':':<12} {10 ** lg:.12f} (log10 {lg:.12f})"
               for name, lg in stages.items()),
-            f"  optimal fidelity:    {report.optimal_fidelity:.12f}",
+            f"  optimal fidelity:    {optimum:.12f}",
             f"  covariance defect:   {defect:.3e}"]
-    row = {key: value for key, value in payload.items() if key != "per_clone_fidelity"}
-    _write(out, args.format, payload, text, [{**row, "fidelity": fid}])
+    _write(out, args.format, payload, text, [{**head, **tail, "fidelity": run.fidelity}])
     return EXIT_OK
 
 
@@ -142,17 +141,12 @@ def cmd_opa(args, out):
     rho = photon_reduced_density(first)
     fid = fidelity(rho, equatorial_state(PlaneId.XY, args.phase))
     injected = fock_state(args.cutoff, 1, 0, mode_basis=float(args.phase))
-    # held back until the series is accepted, so a refusal prints one line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        evolved, remainder = evolve(injected, args.gain, args.order)
+    evolved, remainder = evolve(injected, args.gain, args.order)
     deficit = abs(1 - evolved.norm_sq)
     if not deficit <= SERIES_TOLERANCE:  # NaN too: an overflowed series
         raise ConfigError(
             f"series norm deficit {deficit:.3e} exceeds {SERIES_TOLERANCE:g}; raise --order"
         )
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     payload = {
         "phase": args.phase,
         "gain": args.gain,
@@ -190,9 +184,7 @@ def build_parser():
     p.set_defaults(func=cmd_fidelity_sweep)
 
     p = sub.add_parser("simulate", help="run one cloning pipeline and report fidelities")
-    size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--M", type=_odd_m)
-    size.add_argument("--P", type=_int_at_least(2))
+    p.add_argument("--M", type=_odd_m, required=True)
     p.add_argument("--plane", type=str.lower, choices=[plane.value for plane in PlaneId], default="xz")
     p.add_argument("--phase", type=_finite, default=0.0)
     p.add_argument("--scheme", type=str.upper, choices=["A", "B"], default="A")

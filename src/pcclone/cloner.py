@@ -13,14 +13,15 @@ Every state the schemes post-select is permutation-symmetric, and in
 engine refuses one that is not). So by the binomial theorem both schemes
 output a0 |D_{P-1}> + a1 |D_P>, times one common factor, for any input
 a0 |0> + a1 |1>, and the Dicke engine holds an M-qubit output as that
-two-coefficient window (``DickeOutput``), with each stage's success
-probability as a log10. The machine is phase-covariant: only the input
-amplitudes depend on the phase. So each scheme splits into a
-``SchemeKernel``, built once per (scheme, plane, P) in O(1) with everything
-the input does not enter, and an apply per input (or batch of inputs) that
-writes the two coefficients. ``simulate`` builds one kernel per command and
-shares it between its run (``run_kernel``) and the probes of
-``covariance_defect``; only the report's list of M equal fidelities is O(M).
+two-coefficient window. The machine is phase-covariant: only the input
+amplitudes depend on the phase, and no stage's success probability does. So
+each scheme splits into a ``SchemeKernel``, built once per (scheme, plane, P)
+in O(1) with everything the input does not enter, each stage's probability
+as a log10 included, and an apply per input (or batch of inputs) that writes
+the two coefficients. ``simulate`` builds one kernel per command and shares
+it between its run (``run_kernel``, one ``DickeOutput``: the window, the
+stages and the one clone fidelity) and the probes of ``covariance_defect``;
+nothing in either is O(M).
 
 The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
 ``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
@@ -31,11 +32,12 @@ x86-64 VM with one BLAS thread. The dense byte budget (``statekit.DENSE_BYTES``,
 2^24 amplitudes) stops them at M = 23 and the engine at M = 2^24 - 1.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
-reports its own probability. CloneReport.success_prob is the last stage's
-probability: for scheme A the universal-cloner stage is treated as a
-normalized source. CloneReport.success_log10 is the log10 of the whole run's
-probability, every stage included; it stays finite where success_prob
-underflows to 0.0 (scheme B past P of about 1030).
+reports its own probability. success_prob (of CloneReport, the dense
+pipelines' record, and of DickeOutput) is the last stage's probability: for
+scheme A the universal-cloner stage is treated as a normalized source.
+success_log10 is the log10 of the whole run's probability, every stage
+included; it stays finite where success_prob underflows to 0.0 (scheme B
+past P of about 1030).
 """
 
 from __future__ import annotations
@@ -63,81 +65,20 @@ DEFAULT_PROBE_PHASES = tuple(2 * np.pi * k / 8 for k in range(8))
 MONOMIAL_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class CloneReport:
-    """Structured result of one cloning run.
-
-    success_prob is the last post-selection stage's probability and
-    success_log10 the log10 of the whole run's (see the module docstring).
-    """
-
-    M: int
-    P: int
-    scheme: str
-    plane: PlaneId
-    input_phase: float
-    per_clone_fidelity: list
-    success_prob: float
-    optimal_fidelity: float
-    success_log10: float
-
-    def __post_init__(self):
-        if self.M != 2 * self.P - 1 or self.M % 2 == 0:
-            raise ValueError("M must be odd with M = 2P - 1")
-        if self.scheme not in ("A", "B"):
-            raise ValueError("scheme must be 'A' or 'B'")
-        if len(self.per_clone_fidelity) != self.M:
-            raise ValueError("need one fidelity per clone")
-        if not 0 <= min(self.per_clone_fidelity) <= max(self.per_clone_fidelity) <= 1 + 1e-12:
-            raise ValueError("fidelities must lie in [0, 1]")
-        if not 0 <= self.success_prob <= 1 + 1e-12:
-            raise ValueError("success probability must lie in [0, 1]")
-        if not -np.inf < self.success_log10 <= 1e-12:
-            raise ValueError("log10 success probability must be finite and <= 0")
-
-    def to_dict(self):
-        """The fields as JSON types; per_clone_fidelity is the report's own list."""
-        return {
-            "M": self.M,
-            "P": self.P,
-            "scheme": self.scheme,
-            "plane": self.plane.value,
-            "input_phase": self.input_phase,
-            "per_clone_fidelity": self.per_clone_fidelity,
-            "success_prob": self.success_prob,
-            "success_log10": self.success_log10,
-            "optimal_fidelity": self.optimal_fidelity,
-        }
-
-
-def _make_report(scheme, plane, input_phase, P, fids, success, success_log10):
-    M = 2 * P - 1
-    return CloneReport(
-        M=M,
-        P=P,
-        scheme=scheme,
-        plane=plane,
-        input_phase=input_phase,
-        per_clone_fidelity=fids,
-        success_prob=success,
-        optimal_fidelity=float(fidelity_formula("cov_odd", 1, M)),
-        success_log10=success_log10,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dicke engine: a two-coefficient window in plane.basis, probabilities as log10
 
 
 @dataclass(frozen=True)
 class DickeOutput:
-    """Normalized symmetric M-qubit output of the Dicke engine, as a window.
+    """One run of the Dicke engine: its normalized symmetric M-qubit output,
+    as a window, its stage probabilities and its clone fidelity.
 
     coeffs[i] is the amplitude of the Dicke state with offset + i of the
     num_qubits = M qubits in |psi_perp>, in plane.basis; every other amplitude
-    is zero (the engine's window: offset P - 1, two entries). stage_log10 maps
-    each post-selection stage ("uqcm" for scheme A, then "final") to the log10
-    of its probability.
+    is zero (the engine's window: offset P - 1, two entries). stage_log10 is
+    the kernel's (see ``SchemeKernel``). fidelity is every clone's fidelity
+    with the input, one number, as the output is symmetric.
     """
 
     plane: PlaneId
@@ -145,40 +86,51 @@ class DickeOutput:
     offset: int
     coeffs: np.ndarray
     stage_log10: dict
+    fidelity: float
+
+    def __post_init__(self):
+        if not 0 <= self.fidelity <= 1 + 1e-12:
+            raise ValueError("fidelity must lie in [0, 1]")
+
+    @property
+    def success_prob(self):
+        """The last stage's probability (see the module docstring)."""
+        return 10 ** self.stage_log10["final"]
+
+    @property
+    def success_log10(self):
+        """log10 of the whole run's probability, every stage included."""
+        return sum(self.stage_log10.values())
 
 
 @dataclass(frozen=True)
 class SchemeKernel:
     """One scheme at (plane, P) without its input (a0, a1), which ``output``
     applies. Both schemes output common (a0 |D_{P-1}> + a1 |D_P>) in
-    plane.basis, where common = exp(ln_common) phase_common is the ancilla
-    power (t01 + t10)^(P-1) over sqrt(C(M, P)) = sqrt(C(M, P-1)). For scheme A,
-    ln_uqcm is the ln of the universal-cloner stage's probability, the same
-    for every input (see ``scheme_kernel``); scheme B has no such stage.
+    plane.basis, where common = |common| phase_common is the ancilla power
+    (t01 + t10)^(P-1) over sqrt(C(M, P)) = sqrt(C(M, P-1)). stage_log10 maps
+    each post-selection stage ("uqcm" for scheme A, then "final") to the log10
+    of its probability for a normalized input, which is the same for every
+    input (see ``scheme_kernel``).
     """
 
     scheme: str
     plane: PlaneId
     P: int
-    ln_common: float
     phase_common: complex
-    ln_uqcm: float = None
+    stage_log10: dict
+
+    def __post_init__(self):
+        if not all(-np.inf < value <= 1e-12 for value in self.stage_log10.values()):
+            raise ValueError("log10 stage probabilities must be finite and <= 0")
 
     def output(self, a):
-        """The normalized window a phase_common / |a| on D_{P-1}, D_P and ln of
-        the whole run's probability; a of shape (..., 2) applies the kernel to
-        every input along the leading axes at once."""
+        """The normalized window a phase_common / |a| on D_{P-1}, D_P; a of
+        shape (..., 2) applies the kernel to every input along the leading
+        axes at once."""
         a = np.asarray(a, dtype=complex)
         norm_sq = (a.conj() * a).real.sum(axis=-1)
-        coeffs = a * (self.phase_common / np.sqrt(norm_sq))[..., None]
-        return coeffs, 2 * self.ln_common + np.log(norm_sq)
-
-    def stage_log10(self, ln_total):
-        """log10 of each stage's probability, where ln_total is the ln of the
-        whole run's probability (from ``output``)."""
-        if self.ln_uqcm is None:
-            return {"final": ln_total / np.log(10)}
-        return {"uqcm": self.ln_uqcm / np.log(10), "final": (ln_total - self.ln_uqcm) / np.log(10)}
+        return a * (self.phase_common / np.sqrt(norm_sq))[..., None]
 
 
 @cache
@@ -243,27 +195,26 @@ def scheme_kernel(scheme, plane, P):
     # a base cancelling to below 1e-7 of its terms (1e-14 in probability) has vanished
     if abs(alpha + beta) <= 1e-7 * (abs(alpha) + abs(beta)):
         raise VanishingProjectionError("the projection onto the symmetric subspace vanished")
-    ln_common = (P - 1) * np.log(abs(alpha + beta)) - 0.5 * _ln_binom_m_p(P)
+    # ln of the whole run's probability, |common|^2
+    ln_total = 2 * ((P - 1) * np.log(abs(alpha + beta)) - 0.5 * _ln_binom_m_p(P))
     phase_common = np.exp(1j * (P - 1) * np.angle(alpha + beta))
     if scheme == "B":
-        return SchemeKernel("B", plane, P, ln_common, phase_common)
+        return SchemeKernel("B", plane, P, phase_common, {"final": float(ln_total / log(10))})
     if abs(abs(alpha) - abs(beta)) > 1e-12:
         raise ValueError(f"the universal-cloner stage needs |t01| = |t10|, got {abs(alpha):.3e}, {abs(beta):.3e}")
     ln_uqcm = np.log((P + 1) / 2) + 2 * (P - 1) * np.log(abs(alpha))
-    return SchemeKernel("A", plane, P, ln_common, phase_common, ln_uqcm)
+    stages = {"uqcm": float(ln_uqcm / log(10)), "final": float((ln_total - ln_uqcm) / log(10))}
+    return SchemeKernel("A", plane, P, phase_common, stages)
 
 
 def run_kernel(kernel, input_phase):
-    """The kernel's scheme on one input phase: (CloneReport, DickeOutput)."""
+    """The kernel's scheme on one input phase, as a DickeOutput."""
     plane, P = kernel.plane, kernel.P
     M = 2 * P - 1
     target = sk.equatorial_state(plane, input_phase)
-    coeffs, ln_total = kernel.output(plane.basis.conj().T @ target.amplitudes)
-    stages = {name: float(value) for name, value in kernel.stage_log10(ln_total).items()}
+    coeffs = kernel.output(plane.basis.conj().T @ target.amplitudes)
     fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis, P - 1, M), target)
-    report = _make_report(kernel.scheme, plane, input_phase, P, [fid] * M,
-                          10 ** stages["final"], sum(stages.values()))
-    return report, DickeOutput(plane, M, P - 1, coeffs, stages)
+    return DickeOutput(plane, M, P - 1, coeffs, kernel.stage_log10, fid)
 
 
 def dicke_rotation(plane, angle, M, k):
@@ -283,6 +234,54 @@ def dicke_rotation(plane, angle, M, k):
 
 # ---------------------------------------------------------------------------
 # Dense pipelines: the engine's oracle
+
+
+@dataclass(frozen=True)
+class CloneReport:
+    """Structured result of one dense cloning run.
+
+    success_prob is the last post-selection stage's probability and
+    success_log10 the log10 of the whole run's (see the module docstring).
+    """
+
+    M: int
+    P: int
+    scheme: str
+    plane: PlaneId
+    input_phase: float
+    per_clone_fidelity: list
+    success_prob: float
+    optimal_fidelity: float
+    success_log10: float
+
+    def __post_init__(self):
+        if self.M != 2 * self.P - 1 or self.M % 2 == 0:
+            raise ValueError("M must be odd with M = 2P - 1")
+        if self.scheme not in ("A", "B"):
+            raise ValueError("scheme must be 'A' or 'B'")
+        if len(self.per_clone_fidelity) != self.M:
+            raise ValueError("need one fidelity per clone")
+        if not 0 <= min(self.per_clone_fidelity) <= max(self.per_clone_fidelity) <= 1 + 1e-12:
+            raise ValueError("fidelities must lie in [0, 1]")
+        if not 0 <= self.success_prob <= 1 + 1e-12:
+            raise ValueError("success probability must lie in [0, 1]")
+        if not -np.inf < self.success_log10 <= 1e-12:
+            raise ValueError("log10 success probability must be finite and <= 0")
+
+
+def _make_report(scheme, plane, input_phase, P, fids, success, success_log10):
+    M = 2 * P - 1
+    return CloneReport(
+        M=M,
+        P=P,
+        scheme=scheme,
+        plane=plane,
+        input_phase=input_phase,
+        per_clone_fidelity=fids,
+        success_prob=success,
+        optimal_fidelity=float(fidelity_formula("cov_odd", 1, M)),
+        success_log10=success_log10,
+    )
 
 
 @dataclass(frozen=True)
@@ -369,7 +368,7 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     theta = np.asarray(probe_phases, dtype=float)
     # each equatorial_state(plane, theta) in plane.basis: (1, e^{i theta})/sqrt2
     inputs = np.exp(np.multiply.outer(theta, (0, 1j))) / np.sqrt(2)
-    coeffs, _ = kernel.output(inputs)
+    coeffs = kernel.output(inputs)
     back = dicke_rotation(plane, -theta, 2 * P - 1, (P - 1, P)) * coeffs
     distance = sk.pure_trace_distance(back[:, None], back[None, :])
     return float(np.max(distance, where=~np.eye(len(theta), dtype=bool), initial=0.0))

@@ -247,24 +247,18 @@ def outer(ket):
     return DensityOp(ket.num_qubits, np.outer(v, v.conj()))
 
 
-def partial_trace(rho_or_ket, keep):
-    """Reduced density operator on the kept qubits (in the listed order)."""
+def partial_trace(ket, keep):
+    """Reduced density operator of a ket on the kept qubits (in the listed order)."""
     if not keep:
         raise ValueError("keep must be nonempty")
-    n = rho_or_ket.num_qubits
+    n = ket.num_qubits
     if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
         raise IndexError("invalid keep list")
     k = len(keep)
-    if isinstance(rho_or_ket, Ket):
-        _check_capacity(4 ** k)
-        psi = np.moveaxis(_as_axes(rho_or_ket), keep, range(k))
-        m = psi.reshape(2 ** k, -1)
-        return DensityOp(k, m @ m.conj().T)
-    mat = rho_or_ket.matrix.reshape((2,) * (2 * n))
-    row = np.moveaxis(mat, keep, range(k))
-    col = np.moveaxis(row, [n + q for q in keep], range(k, 2 * k))
-    red = col.reshape(2 ** k, 2 ** k, 2 ** (n - k), 2 ** (n - k))
-    return DensityOp(k, np.einsum("ijmm->ij", red))
+    _check_capacity(4 ** k)
+    psi = np.moveaxis(_as_axes(ket), keep, range(k))
+    m = psi.reshape(2 ** k, -1)
+    return DensityOp(k, m @ m.conj().T)
 
 
 def fidelity(rho, target):

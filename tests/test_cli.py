@@ -102,7 +102,7 @@ class TestSimulate:
 
     def test_scheme_b_via_p(self, capsys):
         code, out, _ = run_cli(
-            capsys, "simulate", "--P", "2", "--scheme", "b", "--plane", "xy",
+            capsys, "simulate", "--M", "3", "--scheme", "b", "--plane", "xy",
             "--phase", "1.2", "--format", "json",
         )
         assert code == 0
@@ -146,10 +146,6 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--M", "4")
         assert code == 2
         assert "odd" in err
-
-    def test_m_and_p_conflict(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--M", "3", "--P", "2")
-        assert code == 2
 
     def test_bad_plane(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--M", "3", "--plane", "qq")
@@ -214,6 +210,26 @@ class TestSimulate:
         assert set(row) == (set(payload) - {"per_clone_fidelity"}) | {"fidelity"}
         fids = payload["per_clone_fidelity"]
         assert len(fids) == 101 and all(f == float(row["fidelity"]) for f in fids)
+
+    @pytest.mark.parametrize("M", [3, 10001])
+    def test_formats_agree(self, capsys, M):
+        args = ("simulate", "--M", str(M), "--plane", "xy", "--phase", "0.7", "--seed", "3")
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        fid = payload["per_clone_fidelity"][0]
+        assert payload["per_clone_fidelity"] == [fid] * M
+        _, out, _ = run_cli(capsys, *args, "--format", "csv")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert float(row["fidelity"]) == fid
+        for key in ("success_prob", "success_log10", "covariance_defect"):
+            assert float(row[key]) == payload[key], key
+        _, out, _ = run_cli(capsys, *args)
+        lines = out.splitlines()
+        assert f"  fidelity, each clone: {fid:.12f}" in lines
+        final = f"  success probability, final stage: {payload['success_prob']:.12f} (log10 "
+        assert any(line.startswith(final) for line in lines)
+        assert lines[-3].endswith(f"(log10 {payload['success_log10']:.12f})")
+        assert lines[-1] == f"  covariance defect:   {payload['covariance_defect']:.3e}"
 
 
 class TestVerify:
@@ -293,6 +309,17 @@ class TestOpa:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    def test_accepted_large_gain_prints_no_warning(self):
+        # a fresh interpreter, so that a warning would reach the real stderr;
+        # the norm-deficit tolerance, not |gain|, decides whether a series is used
+        env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "pcclone.cli", "opa", "--gain", "0.6",
+                               "--cutoff", "80", "--order", "40"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "series norm deficit" in proc.stdout
+
     def test_unconverged_series_is_config_error(self, capsys):
         code, out, err = run_cli(
             capsys, "opa", "--gain", "0.45", "--cutoff", "40", "--order", "2", "--format", "json"
@@ -333,7 +360,7 @@ class TestOpa:
     [],
     ["simulate"],
     ["simulate", "--M", "16777217"],  # over the dense byte budget: 2^24 + 2 coefficients
-    ["simulate", "--P", "1000000000000000000000"],
+    ["simulate", "--M", "1999999999999999999999"],
 ])
 def test_argument_error_is_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -346,7 +373,7 @@ def test_cached_parser_matches_fresh_parser(capsys):
     sequence = [
         ["simulate", "--M", "3", "--scheme", "c"],
         ["simulate", "--M", "3"],
-        ["simulate", "--P", "2", "--scheme", "b", "--plane", "xy"],
+        ["simulate", "--M", "3", "--scheme", "b", "--plane", "xy"],
         ["opa"],
     ]
     build_parser.cache_clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone import cloner
+from pcclone import cli, cloner
 from pcclone.angular import b_coef, d_coef, gamma, projection_norm_sq
 from pcclone.cloner import (
     CloneReport,
@@ -308,14 +309,14 @@ class TestDickeEngine:
     def test_matches_dense_oracle(self, plane, scheme, dense):
         for P in range(2, 8):  # odd M <= 13
             for theta in (0.0, 0.9, 4.1):
-                report, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
+                out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                 ref, ket = dense(theta, plane, P)
                 ref_coeffs = dicke_coefficients(ket, plane.basis)
+                assert (out.plane, out.num_qubits, out.offset) == (ref.plane, ref.M, ref.P - 1)
                 assert 1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)) <= 1e-12
-                assert abs(report.success_prob - ref.success_prob) <= 1e-12
-                assert abs(report.success_log10 - ref.success_log10) <= 1e-12
-                assert max(abs(f - g) for f, g in
-                           zip(report.per_clone_fidelity, ref.per_clone_fidelity)) <= 1e-12
+                assert abs(out.success_prob - ref.success_prob) <= 1e-12
+                assert abs(out.success_log10 - ref.success_log10) <= 1e-12
+                assert max(abs(out.fidelity - f) for f in ref.per_clone_fidelity) <= 1e-12
                 # F1 on the oracle: its weight off D_{P-1}, D_P is rounding only
                 off = np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum()
                 assert off <= 1e-27
@@ -325,7 +326,7 @@ class TestDickeEngine:
     def test_f1_two_coefficients(self, scheme, P):
         theta = 0.3 + P
         for plane in PLANES:
-            _, out = run_kernel(scheme_kernel(scheme, plane, P), theta)
+            out = run_kernel(scheme_kernel(scheme, plane, P), theta)
             assert (out.num_qubits, out.offset, out.coeffs.shape) == (2 * P - 1, P - 1, (2,))
             weights = np.abs(out.coeffs) ** 2
             assert max(abs(weights[0] - 0.5), abs(weights[1] - 0.5)) <= 1e-12
@@ -338,13 +339,14 @@ class TestDickeEngine:
             return log10(fraction.numerator) - log10(fraction.denominator)
 
         total = lg(Fraction(2 ** P, comb(2 * P, P)))
-        _, out_a = run_kernel(scheme_kernel("A", PlaneId.YZ, P), 1.1)
-        report_b, out_b = run_kernel(scheme_kernel("B", PlaneId.YZ, P), 1.1)
+        out_a = run_kernel(scheme_kernel("A", PlaneId.YZ, P), 1.1)
+        out_b = run_kernel(scheme_kernel("B", PlaneId.YZ, P), 1.1)
         assert abs(out_a.stage_log10["uqcm"] / lg(Fraction(P + 1, 2 ** P)) - 1) <= 1e-12
         assert abs(out_a.stage_log10["final"] / lg(projection_norm_sq(P)) - 1) <= 1e-12
         assert abs(sum(out_a.stage_log10.values()) / total - 1) <= 1e-12
         assert abs(out_b.stage_log10["final"] / total - 1) <= 1e-12
-        assert abs(report_b.success_log10 / total - 1) <= 1e-12
+        assert abs(out_a.success_log10 / total - 1) <= 1e-12
+        assert abs(out_b.success_log10 / total - 1) <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
     def test_bell_power_against_convolution(self, plane):
@@ -359,7 +361,7 @@ class TestDickeEngine:
             M = 2 * P - 1
             coeffs = poly / np.sqrt([comb(M, k) for k in range(M + 1)])
             coeffs /= np.linalg.norm(coeffs)
-            _, out = run_kernel(scheme_kernel("B", plane, P), theta)
+            out = run_kernel(scheme_kernel("B", plane, P), theta)
             assert np.max(np.abs(out.coeffs - coeffs[P - 1:P + 1])) <= 1e-12
             assert np.delete(np.abs(coeffs) ** 2, [P - 1, P]).sum() <= 1e-27
 
@@ -369,8 +371,8 @@ class TestDickeEngine:
             exact = float(gamma(P))
             plane = PLANES[P % 3]
             for scheme in ("A", "B"):
-                report, _ = run_kernel(scheme_kernel(scheme, plane, P), 0.1 * P)
-                worst = max(worst, abs(report.per_clone_fidelity[0] - exact))
+                out = run_kernel(scheme_kernel(scheme, plane, P), 0.1 * P)
+                worst = max(worst, abs(out.fidelity - exact))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
@@ -399,17 +401,34 @@ class TestDickeEngine:
             assert np.max(np.abs(dicke_rotation(plane, thetas, M, (P - 1, P)) - want)) <= 1e-15
 
     @pytest.mark.parametrize("scheme", ["A", "B"])
-    def test_kernel_and_probes_allocate_no_o_m_array(self, scheme):
+    def test_kernel_and_probes_allocate_no_o_m_array(self, scheme, capsys):
         # M = 2^24 - 1, the byte budget's edge: one (M+1)-entry complex
-        # vector there is 256 MiB
+        # vector there is 256 MiB, and a list of M fidelities 134 MB
+        peaks = []
         tracemalloc.start()
         try:
             defect = covariance_defect(scheme_kernel(scheme, PlaneId.YZ, 2 ** 23))
-            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            for fmt in ("text", "csv"):
+                tracemalloc.reset_peak()
+                code = cli.main(["simulate", "--M", str(2 ** 24 - 1), "--scheme", scheme, "--format", fmt])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                assert code == 0 and "0.75000001" in capsys.readouterr().out
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert max(peaks) < 2 ** 20
         assert defect <= 1e-12
+
+    def test_record_checks(self):
+        # the O(1) range checks of the dense report, on the engine's record
+        kernel = scheme_kernel("A", PlaneId.XZ, 2)
+        out = run_kernel(kernel, 0.3)
+        for fid in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match="fidelity"):
+                dataclasses.replace(out, fidelity=fid)
+        for lg in (0.1, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="stage"):
+                dataclasses.replace(kernel, stage_log10={**kernel.stage_log10, "final": lg})
 
     @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme", ["A", "B"])
@@ -427,7 +446,7 @@ class TestDickeEngine:
             M = 2 * P - 1
             for probes in (cloner.DEFAULT_PROBE_PHASES, seeded):
                 back = [dicke_rotation(plane, -theta, M, (P - 1, P))
-                        * run_kernel(scheme_kernel(scheme, plane, P), theta)[1].coeffs
+                        * run_kernel(scheme_kernel(scheme, plane, P), theta).coeffs
                         for theta in probes]
                 want = max(pure_trace_distance(b, a)
                            for i, a in enumerate(back) for b in back[i + 1:])
@@ -443,8 +462,8 @@ class TestDickeEngine:
             kernel = scheme_kernel("A", plane, P)
             for a in OFF_EQUATOR:
                 with np.errstate(all="raise"):
-                    coeffs, ln_total = kernel.output(a)
-                    stages = kernel.stage_log10(ln_total)
+                    coeffs = kernel.output(a)
+                stages = kernel.stage_log10
                 source = uqcm(Ket(1, plane.basis @ a), P)
                 assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
                 assert abs(10 ** stages["uqcm"] - (P + 1) / 2 ** P) <= 1e-12
@@ -463,8 +482,8 @@ class TestDickeEngine:
             kernel = scheme_kernel("B", plane, P)
             for a in OFF_EQUATOR:
                 with np.errstate(all="raise"):
-                    coeffs, ln_total = kernel.output(a)
-                    stages = kernel.stage_log10(ln_total)
+                    coeffs = kernel.output(a)
+                stages = kernel.stage_log10
                 state = tensor_all([Ket(1, plane.basis @ a)] + [bell] * (P - 1))
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
@@ -513,8 +532,9 @@ class TestDickeEngine:
 
 class TestCloneReport:
     def test_success_log10(self):
-        report, _ = run_kernel(scheme_kernel("B", PlaneId.XY, 2000), 0.0)
-        assert report.success_prob == 0.0  # 2^P/C(2P,P) underflows past P ~ 1030
+        out = run_kernel(scheme_kernel("B", PlaneId.XY, 2000), 0.0)
+        assert out.success_prob == 0.0  # 2^P/C(2P,P) underflows past P ~ 1030
+        assert np.isfinite(out.success_log10)
         base = dict(M=3, P=2, scheme="B", plane=PlaneId.XY, input_phase=0.0,
                     per_clone_fidelity=[5 / 6] * 3, optimal_fidelity=5 / 6)
         for prob, lg in ((0.5, -np.inf), (0.5, 0.1), (0.5, np.nan)):
@@ -524,7 +544,7 @@ class TestCloneReport:
     def test_validation(self):
         good, _ = pqcm_scheme_a(0.0, PlaneId.XZ, 2)
         with pytest.raises(ValueError):
-            CloneReport(**{**good.to_dict(), "M": 4, "plane": PlaneId.XZ})
+            dataclasses.replace(good, M=4)
         with pytest.raises(ValueError):
             CloneReport(
                 M=3, P=2, scheme="C", plane=PlaneId.XZ, input_phase=0.0,

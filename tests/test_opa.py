@@ -120,11 +120,6 @@ class TestEvolve:
         assert deficits[0] > deficits[1] > deficits[2] > deficits[3]
         assert deficits[-1] < 1e-10
 
-    def test_large_gain_warns(self):
-        st = fock_state(8, 0, 0)
-        with pytest.warns(UserWarning):
-            evolve(st, 0.8, 2)
-
     def test_boundary_overflow_raises(self):
         st = fock_state(3, 1, 0, mode_basis=0.0)
         with pytest.raises(CutoffOverflowError):

@@ -164,12 +164,6 @@ def test_partial_trace_product_state():
     np.testing.assert_allclose(red_b.matrix, outer(b).matrix, atol=1e-14)
 
 
-def test_partial_trace_density_input():
-    rho = outer(bell_state(BellKind.PhiMinus))
-    red = partial_trace(rho, [0])
-    np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
-
-
 def test_partial_trace_errors():
     with pytest.raises(ValueError):
         partial_trace(bell_state(BellKind.PhiPlus), [])
