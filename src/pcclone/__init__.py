@@ -6,7 +6,6 @@ from .angular import (
     SignedSqrtRational,
     b_coef,
     cg,
-    cg_ladder,
     d_coef,
     fidelity_formula,
     gamma,

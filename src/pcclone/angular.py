@@ -153,8 +153,8 @@ def cg(tj1, tj2, tm1, tm2, tJ, tM):
 
 
 def cg_ladder(tj1, tj2, tm1, tm2, tJ, tM):
-    """Independent Clebsch-Gordan oracle: a lookup in ``ladder_states``, with
-    the doubled integer labels of ``cg``."""
+    """Independent Clebsch-Gordan oracle for the tests: a lookup in
+    ``ladder_states``, with the doubled integer labels of ``cg``."""
     labels = _allowed(tj1, tj2, tm1, tm2, tJ, tM)
     if labels is None:
         return _ZERO

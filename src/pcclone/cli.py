@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 import time
 
@@ -32,7 +33,16 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error raises ConfigError instead of printing usage and exiting."""
+    """An argument error raises ConfigError instead of printing usage and exiting.
+
+    A token such as -1e-3 or -inf is a value, as -1 and -0.5 are: argparse alone
+    reads only the last two as negative numbers. No option looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -134,7 +144,8 @@ def cmd_verify(args, out):
 
 
 def cmd_opa(args, out):
-    first = first_order_output(args.phase, args.cutoff)
+    # the first-order output is the 3-photon sector alone: the same at every cutoff >= 3
+    first = first_order_output(args.phase)
     a30 = first.amplitude(3, 0)
     a12 = first.amplitude(1, 2)
     ratio = abs(a30 / a12) if a12 != 0 else float("inf")

@@ -14,7 +14,7 @@ cutoff is limited by the series, not by a (c+1)^2 x (c+1)^2 matrix.
 ``fock_state`` refuses a cutoff whose (c+1)^2 amplitudes exceed
 ``statekit.DENSE_BYTES`` (c > 4095) before it allocates them.
 ``build_hamiltonian`` and ``hamiltonian_in_rotated_modes`` tabulate the same
-action on the identity for tests and checks.
+action on the identity for the tests only.
 """
 
 from __future__ import annotations

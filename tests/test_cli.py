@@ -10,14 +10,19 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcclone
-from pcclone import verify
+from pcclone import opa, verify
+from pcclone import symmetry as sym
 from pcclone.angular import gamma, gamma_closed_form
 from pcclone.cli import build_parser, main
 from pcclone.cloner import covariance_defect, scheme_kernel
-from pcclone.statekit import PlaneId
+from pcclone.statekit import Ket, PlaneId
+
+REAL_SYMMETRIZE = sym.symmetrize
+REAL_HAMILTONIAN = opa._apply_hamiltonian
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +277,32 @@ class TestVerify:
             assert out.splitlines()[-1] == "FAILURES present"
 
 
+def _summing_symmetrize(state, subset):
+    """symmetrize with each Hamming-weight class of the subset summed, not averaged."""
+    n, k = state.num_qubits, len(subset)
+    index = np.arange(2 ** n)
+    weight = sum((index >> (n - 1 - q)) & 1 for q in subset)
+    counts = np.array([math.comb(k, w) for w in range(k + 1)])
+    return Ket(n, REAL_SYMMETRIZE(state, subset).amplitudes * counts[weight])
+
+
+def _wrong_rotated_phase(basis, cutoff, amps):
+    """_apply_hamiltonian with the {phi, phi_perp} form written at phi + 0.1."""
+    return REAL_HAMILTONIAN(basis if basis == "HV" else float(basis) + 0.1, cutoff, amps)
+
+
+@pytest.mark.parametrize("suite,module,name,wrong,check", [
+    ("symmetry", sym, "symmetrize", _summing_symmetrize, "matrix-free projection == permutation mean"),
+    ("symmetry", sym, "symmetrize", _summing_symmetrize, "concatenation defect"),
+    ("opa", opa, "_apply_hamiltonian", _wrong_rotated_phase, "rotated Hamiltonian form invariance"),
+], ids=["permutation mean", "concatenation", "form invariance"])
+def test_replacement_check_fails_on_a_wrong_operator(monkeypatch, suite, module, name, wrong, check):
+    monkeypatch.setattr(module, name, wrong)
+    rows = [(defect, threshold) for label, defect, threshold in verify.SUITES[suite]()
+            if label.startswith(check)]
+    assert rows and all(defect > threshold for defect, threshold in rows)
+
+
 class TestOpa:
     def test_json(self, capsys):
         code, out, _ = run_cli(
@@ -339,7 +370,12 @@ class TestOpa:
     def test_large_cutoff(self, capsys):
         code, out, _ = run_cli(capsys, "opa", "--cutoff", "200", "--format", "json")
         assert code == 0
-        assert abs(json.loads(out)["reduced_fidelity"] - 5 / 6) < 1e-9
+        payload = json.loads(out)
+        assert abs(payload["reduced_fidelity"] - 5 / 6) < 1e-9
+        # the first-order output is the 3-photon sector alone: the cutoff cannot move it
+        _, out, _ = run_cli(capsys, "opa", "--format", "json")
+        first = ("first_order_amp_30", "first_order_amp_12", "amp_ratio_magnitude", "reduced_fidelity")
+        assert {k: payload[k] for k in first} == {k: json.loads(out)[k] for k in first}
 
     @pytest.mark.parametrize("option", ["--phase", "--gain"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -348,6 +384,19 @@ class TestOpa:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and option in err
+
+
+def test_negative_number_with_an_exponent_is_a_value(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--M", "3", "--phase", "-1e-3")
+    assert code == 0 and "phase -0.001000" in out
+    code, _, _ = run_cli(capsys, "opa", "--gain", "-1e-2")
+    assert code == 0
+
+
+def test_negative_infinity_is_refused_as_not_finite(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--M", "3", "--phase", "-inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "expected a finite number" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,7 +116,7 @@ KET_13 = Ket(13, np.eye(1, 2 ** 13)[0])  # |0...0>
 
 @pytest.mark.parametrize("build", [
     lambda: symmetric_projector(13),          # 4^13 entries, 1 GiB
-    lambda: concatenation_defect(7),          # its first matrix is symmetric_projector(13)
+    lambda: concatenation_defect(13),         # 25-qubit kets, 512 MiB each
     lambda: dicke_state(DickeLabel(25, 0)),   # 2^25 entries, 512 MiB
     lambda: tensor(KET_13, KET_13),           # 2^26 entries
     lambda: outer(KET_13),                    # 4^13 entries

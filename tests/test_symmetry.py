@@ -14,6 +14,7 @@ from pcclone.symmetry import (
     symmetric_projector,
     symmetrize,
 )
+from pcclone.verify import _permutation_mean
 
 
 def test_dicke_2_1():
@@ -66,16 +67,6 @@ def test_projector_on_01():
     out = symmetric_projector(2) @ amps
     np.testing.assert_allclose(out, [0, 0.5, 0.5, 0], atol=1e-14)
     assert abs(np.vdot(out, out).real - 0.5) < 1e-14
-
-
-def test_basis_independence():
-    theta = 0.9
-    basis = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex
-    )
-    a = symmetric_projector(3)
-    b = symmetric_projector(3, basis)
-    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_postselect_symmetric_input_unchanged():
@@ -134,6 +125,7 @@ def test_symmetrize_matches_dense_projector(seed, n, data):
     dense = apply(symmetric_projector(len(subset)), subset, psi)
     fast = symmetrize(psi, subset)
     assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) <= 1e-14
+    assert np.max(np.abs(fast.amplitudes - _permutation_mean(psi, subset))) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
