@@ -21,7 +21,6 @@ from .cloner import (
     pqcm_scheme_a,
     pqcm_scheme_b,
     run_kernel,
-    scheme_equivalence_defect,
     scheme_kernel,
     uqcm,
 )

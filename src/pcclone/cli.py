@@ -1,6 +1,6 @@
 """Command-line front end: cloning runs, fidelity sweeps, verification, OPA.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 failed verification or closed stdout, 2 configuration error.
 The parser is the one input boundary and ``_write`` the one output writer.
 """
 
@@ -9,6 +9,7 @@ import csv
 import functools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -221,10 +222,16 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
     except (CapacityError, ConfigError, CutoffOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,9 +23,8 @@ it between its run (``run_kernel``, one ``DickeOutput``: the window, the
 stages and the one clone fidelity) and the probes of ``covariance_defect``;
 nothing in either is O(M).
 
-The dense pipelines (``uqcm``, ``pqcm_scheme_a``/``pqcm_scheme_b`` and
-``scheme_equivalence_defect``) act on 2^M-amplitude kets and are the engine's
-oracle, used by ``verify`` and the tests. Their symmetric projection is
+The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act
+on 2^M-amplitude kets and are the engine's oracle, used by ``verify`` and the tests. Their symmetric projection is
 matrix-free (``symmetry.symmetrize``, O(2^M) time and memory); one scheme-A
 run takes about 2 ms at M=13 and 4.6 s at M=23 (670 MiB peak) on a 2-core
 x86-64 VM with one BLAS thread. The dense byte budget (``statekit.DENSE_BYTES``,
@@ -373,14 +372,3 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     distance = sk.pure_trace_distance(back[:, None], back[None, :])
     return float(np.max(distance, where=~np.eye(len(theta), dtype=bool), initial=0.0))
 
-
-def scheme_equivalence_defect(plane, P, probe_phases=DEFAULT_PROBE_PHASES):
-    """Max over probes of 1 - |<out_A|out_B>|^2 for the normalized dense outputs."""
-    if not probe_phases:
-        raise ValueError("probe list must be nonempty")
-    worst = 0.0
-    for theta in probe_phases:
-        _, out_a = pqcm_scheme_a(theta, plane, P)
-        _, out_b = pqcm_scheme_b(theta, plane, P)
-        worst = max(worst, 1 - abs(out_a.overlap(out_b)) ** 2)
-    return worst

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import comb, factorial, perm, sqrt
+from math import perm, sqrt
 
 import numpy as np
 
 from .statekit import _check_capacity
-from .symmetry import dicke_reduced_density
+from .symmetry import dicke_reduced_density, symmetric_powers
 
 
 class CutoffOverflowError(Exception):
@@ -149,31 +149,26 @@ def first_order_output(phase, cutoff=6):
         raise ValueError("cutoff must be >= 3")
     injected = fock_state(cutoff, 1, 0, mode_basis=float(phase))
     amps = _apply_hamiltonian(float(phase), cutoff, injected.amplitudes)
-    return FockVec(cutoff, -1j * amps, float(phase))
+    return FockVec(cutoff, -1j * amps + 0.0, float(phase))  # + 0.0: no -0.0 parts
 
 
 def change_mode_basis(state, new_basis):
     """Re-express a FockVec in another polarization mode pair.
 
-    Exact linear map obtained by binomially re-expanding products of creation
-    operators; photon-number conserving and unitary on every sector that fits
-    under the cutoff.
+    The N-photon sector is N symmetric qubits, |m, n> the Dicke state with n
+    in the second mode, so u on one photon acts on a sector's anti-diagonal as
+    S_N(u) of ``symmetry.symmetric_powers``: exact and unitary under the cutoff.
     """
-    # o^dag = M_old a^dag and b^dag = M_new a^dag  =>  o^dag = M_old M_new^dag b^dag
-    m = _mode_matrix(state.mode_basis) @ _mode_matrix(new_basis).conj().T
     c = state.cutoff
-    dim = (c + 1) ** 2
-    out = np.zeros(dim, dtype=complex)
-    for mm in range(c + 1):
-        for nn in range(c + 1):
-            amp = state.amplitudes[mm * (c + 1) + nn]
-            if amp == 0:
-                continue
-            if mm + nn > c:
-                raise ValueError(
-                    "basis change requires total photon number <= cutoff"
-                )
-            out += amp * _reexpand(c, mm, nn, m)
+    k = np.arange(c + 1)
+    photons = np.add.outer(k, k).ravel()
+    if np.any(state.amplitudes[photons > c]):
+        raise ValueError("basis change requires total photon number <= cutoff")
+    u = _single_particle(new_basis).conj().T @ _single_particle(state.mode_basis)
+    out = np.zeros((c + 1) ** 2, dtype=complex)
+    for N, s in enumerate(symmetric_powers(u, c)):
+        sector = (N - k[:N + 1]) * (c + 1) + k[:N + 1]  # (N - n, n), n = 0..N
+        out[sector] = s @ state.amplitudes[sector]
     return FockVec(c, out, new_basis)
 
 
@@ -189,25 +184,6 @@ def _mode_matrix(basis):
 
 def _single_particle(basis):
     return _mode_matrix(basis).T
-
-
-def _reexpand(cutoff, m, n, u):
-    """(o1^dag)^m (o2^dag)^n |0> / sqrt(m! n!) over the new-mode Fock basis,
-    with o_i^dag = u[i,0] b1^dag + u[i,1] b2^dag."""
-    out = np.zeros((cutoff + 1) ** 2, dtype=complex)
-    base = 1 / sqrt(factorial(m) * factorial(n))
-    for j in range(m + 1):
-        for k in range(n + 1):
-            p = j + k            # photons in new mode 1
-            q = m + n - p        # photons in new mode 2
-            coef = (
-                comb(m, j) * comb(n, k)
-                * u[0, 0] ** j * u[0, 1] ** (m - j)
-                * u[1, 0] ** k * u[1, 1] ** (n - k)
-                * sqrt(factorial(p) * factorial(q))
-            )
-            out[p * (cutoff + 1) + q] += base * coef
-    return out
 
 
 def photon_reduced_density(state):

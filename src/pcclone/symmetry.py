@@ -4,12 +4,11 @@ post-selected projection with success probability."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
 
-from .statekit import DensityOp, Ket, _check_capacity, _check_targets, apply
+from .statekit import DensityOp, Ket, _check_capacity, _check_targets
 
 
 class VanishingProjectionError(Exception):
@@ -30,24 +29,45 @@ class DickeLabel:
             raise ValueError(f"k={self.k} out of range for n={self.n}")
 
 
+def symmetric_powers(u, N):
+    """Yield S_n[j, k] = <D_j|u^(x n)|D_k>, n = 0, ..., N, the one-qubit map u on
+    the symmetric subspace of n qubits, in O(N^3) and with no binomials.
+
+    |D_k^n> = sqrt((n-k)/n) |D_k^{n-1}>|0> + sqrt(k/n) |D_{k-1}^{n-1}>|1>, so
+    S_n is four shifted copies of S_{n-1}, one per entry u[r, c], with row r and
+    column c shifted by one when set and weighted by these square roots.
+    """
+    s = np.ones((1, 1), dtype=complex)
+    yield s
+    for n in range(1, N + 1):
+        i = np.arange(n)
+        w = (np.sqrt((n - i) / n), np.sqrt((i + 1) / n))
+        prev, s = s, np.zeros((n + 1, n + 1), dtype=complex)
+        for r, c in np.ndindex(2, 2):
+            s[r:n + r, c:n + c] += u[r][c] * np.outer(w[r], w[c]) * prev
+        yield s
+
+
+def _hamming(n):
+    """The Hamming weight of each n-bit index, and C(n, w) for w = 0..n."""
+    weight = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        weight = np.concatenate((weight, weight + 1))
+    return weight, np.array([comb(n, w) for w in range(n + 1)], dtype=float)
+
+
 def dicke_state(label, basis=None):
     """Normalized symmetric state with the given excitation count.
 
     ``basis`` is a 2x2 matrix whose columns define {|phi>, |phi_perp>};
-    default is the computational basis.
+    default is the computational basis. With a basis the state is column k
+    of S_n(basis) over the computational Dicke states.
     """
     n, k = label.n, label.k
     _check_capacity(2 ** n)
-    amps = np.zeros(2 ** n, dtype=complex)
-    for excited in combinations(range(n), k):
-        idx = sum(1 << (n - 1 - q) for q in excited)
-        amps[idx] = 1.0
-    amps /= np.sqrt(comb(n, k))
-    ket = Ket(n, amps)
-    if basis is not None:
-        for q in range(n):
-            ket = apply(basis, [q], ket)
-    return ket
+    weight, counts = _hamming(n)
+    s = np.eye(n + 1) if basis is None else [*symmetric_powers(basis, n)][-1]
+    return Ket(n, (s[:, k] / np.sqrt(counts))[weight])
 
 
 def symmetric_projector(n):
@@ -76,15 +96,12 @@ def symmetrize(state, subset):
     shape = psi.shape
     psi = psi.reshape(2 ** k, -1)
     cols = psi.shape[1]
-    weight = np.zeros(1, dtype=np.intp)  # Hamming weight of each subset index
-    for _ in range(k):
-        weight = np.concatenate((weight, weight + 1))
+    weight, counts = _hamming(k)
     bins = (weight[:, None] * cols + np.arange(cols)).ravel()
     size = (k + 1) * cols
     sums = np.bincount(bins, psi.real.ravel(), size) + 1j * np.bincount(
         bins, psi.imag.ravel(), size
     )
-    counts = np.array([comb(k, w) for w in range(k + 1)], dtype=float)
     means = sums.reshape(k + 1, cols) / counts[:, None]
     out = np.moveaxis(means[weight].reshape(shape), range(k), subset)
     return Ket(n, out.reshape(-1))
@@ -93,16 +110,15 @@ def symmetrize(state, subset):
 def dicke_coefficients(state, basis=None):
     """Coefficients <D_k|state>, k = 0..n, of a permutation-symmetric ket.
 
-    ``basis`` has the columns {|phi>, |phi_perp>} (default: computational);
-    each qubit is first taken into it by basis^dag. A symmetric ket has one
-    amplitude per Hamming weight, and index 2^k - 1 has weight k. This is the
-    dense side of the map the Dicke engine works in, O(n 2^n) with a basis.
+    ``basis`` has the columns {|phi>, |phi_perp>} (default: computational).
+    A symmetric ket has one amplitude per Hamming weight, and index 2^k - 1
+    has weight k; a basis then maps these coefficients by S_n(basis^dag).
     """
     n = state.num_qubits
+    coeffs = np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
     if basis is not None:
-        for q in range(n):
-            state = apply(np.asarray(basis).conj().T, [q], state)
-    return np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
+        coeffs = [*symmetric_powers(np.asarray(basis).conj().T, n)][-1] @ coeffs
+    return coeffs
 
 
 def dicke_reduced_density(coeffs, basis=None, offset=0, num_qubits=None):

@@ -23,6 +23,7 @@ from pcclone.statekit import Ket, PlaneId
 
 REAL_SYMMETRIZE = sym.symmetrize
 REAL_HAMILTONIAN = opa._apply_hamiltonian
+REAL_POWERS = sym.symmetric_powers
 
 
 def run_cli(capsys, *argv):
@@ -291,11 +292,17 @@ def _wrong_rotated_phase(basis, cutoff, amps):
     return REAL_HAMILTONIAN(basis if basis == "HV" else float(basis) + 0.1, cutoff, amps)
 
 
+def _transposed_powers(u, N):
+    """symmetric_powers with u's off-diagonal entries swapped."""
+    return REAL_POWERS(np.asarray(u).T, N)
+
+
 @pytest.mark.parametrize("suite,module,name,wrong,check", [
     ("symmetry", sym, "symmetrize", _summing_symmetrize, "matrix-free projection == permutation mean"),
     ("symmetry", sym, "symmetrize", _summing_symmetrize, "concatenation defect"),
     ("opa", opa, "_apply_hamiltonian", _wrong_rotated_phase, "rotated Hamiltonian form invariance"),
-], ids=["permutation mean", "concatenation", "form invariance"])
+    ("symmetry", sym, "symmetric_powers", _transposed_powers, "symmetric power == per-qubit product"),
+], ids=["permutation mean", "concatenation", "form invariance", "symmetric power"])
 def test_replacement_check_fails_on_a_wrong_operator(monkeypatch, suite, module, name, wrong, check):
     monkeypatch.setattr(module, name, wrong)
     rows = [(defect, threshold) for label, defect, threshold in verify.SUITES[suite]()
@@ -318,6 +325,13 @@ class TestOpa:
         code, out, _ = run_cli(capsys, "opa")
         assert code == 0
         assert "|ratio| = 1.7320508076" in out
+
+    def test_no_negative_zero(self, capsys):
+        _, text, _ = run_cli(capsys, "opa", "--phase", "0")
+        assert "-0.000000" not in text
+        _, out, _ = run_cli(capsys, "opa", "--phase", "0", "--format", "json")
+        amp_30 = json.loads(out)["first_order_amp_30"]
+        assert math.copysign(1, amp_30[1]) == 1
 
     def test_bad_order(self, capsys):
         code, _, _ = run_cli(capsys, "opa", "--order", "0")
@@ -384,6 +398,20 @@ class TestOpa:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and option in err
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the reader of a pipe has left, as `pcclone ... | head -1` leaves
+    env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pcclone.cli", "simulate", "--M", "3"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_negative_number_with_an_exponent_is_a_value(capsys):

@@ -240,6 +240,27 @@ class TestModeBasisChange:
         rotated = change_mode_basis(st, 1.1)
         assert abs(rotated.norm_sq - 1) < 1e-12
 
+    @pytest.mark.parametrize("cutoff,sector", [(171, True), (60, False)], ids=["171-photon sector", "cutoff 60"])
+    def test_roundtrip_past_the_binomial_range(self, cutoff, sector):
+        # HEAD's binomial re-expansion overflowed from 171 photons and lost
+        # digits at cutoff 60; S_N stays unitary to rounding
+        rng = np.random.default_rng(8)
+        side = cutoff + 1
+        photons = np.add.outer(np.arange(side), np.arange(side)).ravel()
+        keep = photons == cutoff if sector else photons <= cutoff
+        amps = keep * (rng.normal(size=side ** 2) + 1j * rng.normal(size=side ** 2))
+        st = FockVec(cutoff, amps / np.linalg.norm(amps), 0.9)
+        hv = change_mode_basis(st, "HV")
+        assert abs(hv.norm_sq - 1) <= 1e-12
+        back = change_mode_basis(hv, 0.9)
+        assert np.max(np.abs(back.amplitudes - st.amplitudes)) <= 1e-12
+
+    def test_over_cutoff_amplitude_refused(self):
+        amps = np.zeros(25, dtype=complex)
+        amps[4 * 5 + 1] = 1.0  # |4,1>: 5 photons at cutoff 4
+        with pytest.raises(ValueError, match="cutoff"):
+            change_mode_basis(FockVec(4, amps, 0.3), "HV")
+
     def test_evolution_phase_covariance(self):
         # amplitudes in each injected state's own rotated basis agree up to
         # the anchored e^{2i phi}-type phases

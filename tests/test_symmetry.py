@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcclone.statekit import BellKind, Ket, apply, bell_state, partial_trace
+from pcclone.statekit import BellKind, Ket, PlaneId, apply, bell_state, partial_trace
 from pcclone.symmetry import (
     DickeLabel,
     VanishingProjectionError,
@@ -27,6 +27,15 @@ def test_dicke_3_2():
     expected = np.zeros(8)
     expected[[3, 5, 6]] = 1 / np.sqrt(3)  # |011>, |101>, |110>
     np.testing.assert_allclose(ket.amplitudes, expected)
+    # in a plane basis: its definition, the basis on every qubit
+    for plane in PlaneId:
+        for n in range(1, 7):
+            for k in range(n + 1):
+                ket = dicke_state(DickeLabel(n, k))
+                for q in range(n):
+                    ket = apply(plane.basis, [q], ket)
+                rotated = dicke_state(DickeLabel(n, k), plane.basis)
+                assert np.max(np.abs(rotated.amplitudes - ket.amplitudes)) <= 1e-14
 
 
 def test_dicke_3_0():
