@@ -25,10 +25,12 @@ nothing in either is O(M).
 
 The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act
 on 2^M-amplitude kets and are the engine's oracle, used by ``verify`` and the tests. Their symmetric projection is
-matrix-free (``symmetry.symmetrize``, O(2^M) time and memory); one scheme-A
-run takes about 2 ms at M=13 and 4.6 s at M=23 (670 MiB peak) on a 2-core
-x86-64 VM with one BLAS thread. The dense byte budget (``statekit.DENSE_BYTES``,
-2^24 amplitudes) stops them at M = 23 and the engine at M = 2^24 - 1.
+matrix-free (``symmetry.symmetrize``, O(2^M) time and memory), and scheme A's
+NOT on its P-1 anticlones is one signed reversal of the trailing index
+(``_flip_trailing``); one scheme-A run takes about 2 ms at M=13 and 1.4 s
+at M=23 (670 MiB peak) on a 2-core x86-64 VM with one BLAS thread. The dense
+byte budget (``statekit.DENSE_BYTES``, 2^24 amplitudes) stops them at M = 23
+and the engine at M = 2^24 - 1.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
 reports its own probability. success_prob (of CloneReport, the dense
@@ -52,6 +54,7 @@ from .angular import fidelity_formula
 from .statekit import BellKind, Ket, PlaneId
 from .symmetry import (
     VanishingProjectionError,
+    _hamming,
     dicke_coefficients,
     dicke_reduced_density,
     project_and_postselect,
@@ -323,13 +326,26 @@ def _clone_fidelities(state, target):
     return [sk.fidelity(dicke_reduced_density(coeffs), target)] * state.num_qubits
 
 
+def _flip_trailing(op, m, state):
+    """A diagonal or off-diagonal 2x2 op (a Pauli) on each of the state's last
+    m qubits, in one pass. Qubit by qubit, op maps |b> to op[b', b] |b'>, so
+    an amplitude whose last m bits have weight w takes op[0,0]^(m-w) op[1,1]^w
+    (diagonal), or takes op[1,0]^(m-w) op[0,1]^w and moves to the index with
+    those m bits flipped, which reverses the trailing 2^m index (off-diagonal)."""
+    flip = op[0, 0] == 0
+    a, b = (op[1, 0], op[0, 1]) if flip else (op[0, 0], op[1, 1])
+    scale = np.array([a ** (m - w) * b ** w for w in range(m + 1)])[_hamming(m)[0]]
+    psi = state.amplitudes.reshape(-1, 2 ** m)
+    if flip:
+        psi, scale = psi[:, ::-1], scale[::-1]
+    return Ket(state.num_qubits, (psi * scale).reshape(-1))
+
+
 def pqcm_scheme_a(input_phase, plane, P):
     """Universal cloner + in-plane NOT on anticlones + full symmetrization."""
     target = sk.equatorial_state(plane, input_phase)
     out = uqcm(target, P)
-    state = out.state
-    for q in out.anticlone_qubits:
-        state = sk.apply(plane.flip_pauli, [q], state)
+    state = _flip_trailing(plane.flip_pauli, len(out.anticlone_qubits), out.state)
     _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
     fids = _clone_fidelities(final, target)
     total_log10 = log10(out.success_prob) + log10(success)

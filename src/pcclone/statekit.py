@@ -192,28 +192,34 @@ def bell_state(which):
 
 def tensor(a, b):
     """Kronecker product; qubit indices of b shift up by a.num_qubits."""
-    n = a.num_qubits + b.num_qubits
-    _check_capacity(2 ** n)
-    return Ket(n, np.kron(a.amplitudes, b.amplitudes))
+    return tensor_all([a, b])
 
 
 def tensor_all(kets):
-    _check_capacity(2 ** sum(k.num_qubits for k in kets))
-    out = kets[0]
+    """Kronecker product of the kets in order, as one chain of outer products
+    and one Ket; each ket's qubit indices shift up by those of the kets before it."""
+    n = sum(k.num_qubits for k in kets)
+    _check_capacity(2 ** n)
+    amps = kets[0].amplitudes
     for k in kets[1:]:
-        out = tensor(out, k)
-    return out
+        amps = np.multiply.outer(amps, k.amplitudes).reshape(-1)
+    return Ket(n, amps)
 
 
 def _as_axes(state):
     return state.amplitudes.reshape((2,) * state.num_qubits)
 
 
-def _check_targets(n, target_qubits):
-    if len(set(target_qubits)) != len(target_qubits):
+def _targets_first(n, targets):
+    """The axis order putting the target qubits first, in their listed order,
+    and the others after them in theirs; ``np.argsort`` of it undoes it.
+    A repeated target raises ValueError, one out of range IndexError."""
+    rest = set(targets)
+    if len(rest) != len(targets):
         raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= n for q in target_qubits):
+    if any(q < 0 or q >= n for q in targets):
         raise IndexError("target qubit out of range")
+    return [*targets, *(q for q in range(n) if q not in rest)]
 
 
 def apply(op, target_qubits, state):
@@ -223,12 +229,9 @@ def apply(op, target_qubits, state):
     op = np.asarray(op, dtype=complex)
     if op.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    _check_targets(n, target_qubits)
-    psi = np.moveaxis(_as_axes(state), target_qubits, range(k))
-    shape = psi.shape
-    psi = op @ psi.reshape(2 ** k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), target_qubits)
-    return Ket(n, psi.reshape(-1))
+    order = _targets_first(n, target_qubits)
+    psi = op @ _as_axes(state).transpose(order).reshape(2 ** k, -1)
+    return Ket(n, psi.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1))
 
 
 def permute_qubits(state, order):
@@ -256,8 +259,7 @@ def partial_trace(ket, keep):
         raise IndexError("invalid keep list")
     k = len(keep)
     _check_capacity(4 ** k)
-    psi = np.moveaxis(_as_axes(ket), keep, range(k))
-    m = psi.reshape(2 ** k, -1)
+    m = _as_axes(ket).transpose(_targets_first(n, keep)).reshape(2 ** k, -1)
     return DensityOp(k, m @ m.conj().T)
 
 

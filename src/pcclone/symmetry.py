@@ -8,7 +8,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .statekit import DensityOp, Ket, _check_capacity, _check_targets
+from .statekit import DensityOp, Ket, _check_capacity, _targets_first
 
 
 class VanishingProjectionError(Exception):
@@ -91,10 +91,8 @@ def symmetrize(state, subset):
     """
     n = state.num_qubits
     k = len(subset)
-    _check_targets(n, subset)
-    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), subset, range(k))
-    shape = psi.shape
-    psi = psi.reshape(2 ** k, -1)
+    order = _targets_first(n, subset)
+    psi = state.amplitudes.reshape((2,) * n).transpose(order).reshape(2 ** k, -1)
     cols = psi.shape[1]
     weight, counts = _hamming(k)
     bins = (weight[:, None] * cols + np.arange(cols)).ravel()
@@ -103,7 +101,7 @@ def symmetrize(state, subset):
         bins, psi.imag.ravel(), size
     )
     means = sums.reshape(k + 1, cols) / counts[:, None]
-    out = np.moveaxis(means[weight].reshape(shape), range(k), subset)
+    out = means[weight].reshape((2,) * n).transpose(np.argsort(order))
     return Ket(n, out.reshape(-1))
 
 

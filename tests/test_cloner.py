@@ -160,6 +160,39 @@ class TestSchemeA:
         for k in range(P):
             assert abs(overlaps[k] - lam * d_coef(P, k).value()) < 1e-12
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_pass_not_equals_per_qubit_apply(self, m):
+        # the NOT on the trailing m qubits in one signed pass, against its
+        # definition: flip_pauli applied qubit by qubit
+        rng = np.random.default_rng(100 + m)
+        for plane in PLANES:
+            for lead in (0, 1, 3):
+                n = lead + m
+                psi = Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+                want = psi
+                for q in range(lead, n):
+                    want = apply(plane.flip_pauli, [q], want)
+                got = cloner._flip_trailing(plane.flip_pauli, m, psi)
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+class TestDenseMemory:
+    @pytest.mark.parametrize("scheme, kets", [("A", 5), ("B", 4)])
+    def test_dense_run_peak_memory(self, scheme, kets):
+        # one dense run at M = 15 holds at most this many full-size kets at
+        # once; the allowance of 1/16 ket covers the small arrays, so one more
+        # full-size (or half-size real) temporary fails
+        M = 15
+        run = pqcm_scheme_a if scheme == "A" else pqcm_scheme_b
+        run(0.2, PlaneId.XZ, 2)  # builds the cached plane bases first
+        tracemalloc.start()
+        try:
+            run(1.3, PlaneId.XZ, (M + 1) // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (kets + 1 / 16) * 2 ** M * 16
+
 
 class TestSchemeB:
     def test_equals_scheme_a_state(self):

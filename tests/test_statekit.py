@@ -98,9 +98,51 @@ def test_tensor_norm_multiplies():
 
 
 def test_tensor_capacity():
-    # 25 qubits are 2^25 amplitudes, 512 MiB: refused before np.kron
+    # 25 qubits are 2^25 amplitudes, 512 MiB: refused before the first outer product
     with pytest.raises(CapacityError):
         tensor_all([Ket(1, [1, 0])] * 25)
+
+
+def _random_ket(rng, n):
+    return Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+
+
+def test_tensor_all_equals_kron_chain():
+    # one chain of outer products equals the np.kron chain bit for bit, on
+    # mixed one- and two-qubit factors
+    rng = np.random.default_rng(11)
+    kets = [_random_ket(rng, n) for n in (1, 2, 1, 2, 2, 1)]
+    for count in range(1, len(kets) + 1):
+        want = kets[0].amplitudes
+        for k in kets[1:count]:
+            want = np.kron(want, k.amplitudes)
+        got = tensor_all(kets[:count])
+        assert got.num_qubits == sum(k.num_qubits for k in kets[:count])
+        assert np.array_equal(got.amplitudes, want)
+    assert np.array_equal(tensor(kets[1], kets[0]).amplitudes, np.kron(kets[1].amplitudes, kets[0].amplitudes))
+
+
+UNORDERED_TARGETS = [[2, 0], [3, 1, 0], [1], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("targets", UNORDERED_TARGETS, ids=str)
+def test_apply_equals_moveaxis_form(targets):
+    rng = np.random.default_rng(12)
+    psi = _random_ket(rng, 4)
+    k = len(targets)
+    op = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    axes = np.moveaxis(psi.amplitudes.reshape((2,) * 4), targets, range(k))
+    moved = (op @ axes.reshape(2 ** k, -1)).reshape(axes.shape)
+    want = np.moveaxis(moved, range(k), targets).reshape(-1)
+    assert np.array_equal(apply(op, targets, psi).amplitudes, want)
+
+
+@pytest.mark.parametrize("targets", UNORDERED_TARGETS, ids=str)
+def test_partial_trace_equals_moveaxis_form(targets):
+    psi = _random_ket(np.random.default_rng(13), 4)
+    k = len(targets)
+    m = np.moveaxis(psi.amplitudes.reshape((2,) * 4), targets, range(k)).reshape(2 ** k, -1)
+    assert np.array_equal(partial_trace(psi, targets).matrix, m @ m.conj().T)
 
 
 def test_capacity_is_a_byte_budget():

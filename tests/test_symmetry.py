@@ -154,6 +154,25 @@ def test_dicke_reduced_density_matches_partial_trace(seed, n, rotated):
         assert np.max(np.abs(rho - partial_trace(psi, [q]).matrix)) <= 1e-12
 
 
+@pytest.mark.parametrize("subset", [[2, 0], [3, 1, 0], [1], [0, 1, 2, 3]], ids=str)
+def test_symmetrize_equals_moveaxis_form(subset):
+    # one transpose and its argsort move the same amplitudes as a moveaxis pair
+    n, k = 4, len(subset)
+    rng = np.random.default_rng(14)
+    psi = Ket(n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+    axes = np.moveaxis(psi.amplitudes.reshape((2,) * n), subset, range(k))
+    flat = axes.reshape(2 ** k, -1)
+    cols = flat.shape[1]
+    weight = np.array([bin(i).count("1") for i in range(2 ** k)])
+    counts = np.bincount(weight).astype(float)
+    bins = (weight[:, None] * cols + np.arange(cols)).ravel()
+    size = (k + 1) * cols
+    sums = np.bincount(bins, flat.real.ravel(), size) + 1j * np.bincount(bins, flat.imag.ravel(), size)
+    means = sums.reshape(k + 1, cols) / counts[:, None]
+    want = np.moveaxis(means[weight].reshape(axes.shape), range(k), subset).reshape(-1)
+    assert np.array_equal(symmetrize(psi, subset).amplitudes, want)
+
+
 def test_symmetrize_rejects_bad_subset():
     psi = dicke_state(DickeLabel(3, 1))
     with pytest.raises(ValueError):
