@@ -16,7 +16,6 @@ from .cloner import (
     CloneReport,
     DickeOutput,
     SchemeKernel,
-    UqcmOutput,
     covariance_defect,
     pqcm_scheme_a,
     pqcm_scheme_b,

@@ -23,19 +23,21 @@ it between its run (``run_kernel``, one ``DickeOutput``: the window, the
 stages and the one clone fidelity) and the probes of ``covariance_defect``;
 nothing in either is O(M).
 
-The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act
-on 2^M-amplitude kets and are the engine's oracle, used by ``verify`` and the tests. Their symmetric projection is
-matrix-free (``symmetry.symmetrize``, O(2^M) time and memory), and scheme A's
-NOT on its P-1 anticlones is one signed reversal of the trailing index
-(``_flip_trailing``); one scheme-A run takes about 2 ms at M=13 and 1.4 s
-at M=23 (670 MiB peak) on a 2-core x86-64 VM with one BLAS thread. The dense
-byte budget (``statekit.DENSE_BYTES``, 2^24 amplitudes) stops them at M = 23
-and the engine at M = 2^24 - 1.
+The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act on
+2^M-amplitude kets and are the engine's oracle, used by ``verify`` and the
+tests. Their symmetric projection is matrix-free (``symmetry.symmetrize``,
+O(2^M) time and memory), scheme A's NOT on its P-1 anticlones is one signed
+reversal of the trailing index (``_flip_trailing``), and both schemes end in
+one shared step (``_symmetrized_report``) that projects all M qubits and reads
+the clone fidelity. One scheme-A run takes about 2 ms at M=13 and 1.3 s at
+M=23 (543 MiB peak) on a 2-core x86-64 VM with one BLAS thread. The dense byte
+budget (``statekit.DENSE_BYTES``, 2^24 amplitudes) stops them at M = 23 and
+the engine at M = 2^24 - 1.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
-reports its own probability. success_prob (of CloneReport, the dense
-pipelines' record, and of DickeOutput) is the last stage's probability: for
-scheme A the universal-cloner stage is treated as a normalized source.
+reports its own probability. success_prob (of DickeOutput, and of
+CloneReport, the dense pipelines' four-field record) is the last stage's
+probability: for scheme A the universal-cloner stage is a normalized source.
 success_log10 is the log10 of the whole run's probability, every stage
 included; it stays finite where success_prob underflows to 0.0 (scheme B
 past P of about 1030).
@@ -50,7 +52,6 @@ from math import comb, log, log10, pi
 import numpy as np
 
 from . import statekit as sk
-from .angular import fidelity_formula
 from .statekit import BellKind, Ket, PlaneId
 from .symmetry import (
     VanishingProjectionError,
@@ -240,29 +241,23 @@ def dicke_rotation(plane, angle, M, k):
 
 @dataclass(frozen=True)
 class CloneReport:
-    """Structured result of one dense cloning run.
+    """Structured result of one dense cloning run: the M = 2P - 1 clone
+    fidelities, all equal as the output is symmetric.
 
     success_prob is the last post-selection stage's probability and
     success_log10 the log10 of the whole run's (see the module docstring).
     """
 
-    M: int
-    P: int
     scheme: str
-    plane: PlaneId
-    input_phase: float
     per_clone_fidelity: list
     success_prob: float
-    optimal_fidelity: float
     success_log10: float
 
     def __post_init__(self):
-        if self.M != 2 * self.P - 1 or self.M % 2 == 0:
-            raise ValueError("M must be odd with M = 2P - 1")
         if self.scheme not in ("A", "B"):
             raise ValueError("scheme must be 'A' or 'B'")
-        if len(self.per_clone_fidelity) != self.M:
-            raise ValueError("need one fidelity per clone")
+        if len(self.per_clone_fidelity) < 3 or len(self.per_clone_fidelity) % 2 == 0:
+            raise ValueError("need an odd number of clone fidelities, at least 3")
         if not 0 <= min(self.per_clone_fidelity) <= max(self.per_clone_fidelity) <= 1 + 1e-12:
             raise ValueError("fidelities must lie in [0, 1]")
         if not 0 <= self.success_prob <= 1 + 1e-12:
@@ -271,59 +266,23 @@ class CloneReport:
             raise ValueError("log10 success probability must be finite and <= 0")
 
 
-def _make_report(scheme, plane, input_phase, P, fids, success, success_log10):
-    M = 2 * P - 1
-    return CloneReport(
-        M=M,
-        P=P,
-        scheme=scheme,
-        plane=plane,
-        input_phase=input_phase,
-        per_clone_fidelity=fids,
-        success_prob=success,
-        optimal_fidelity=float(fidelity_formula("cov_odd", 1, M)),
-        success_log10=success_log10,
-    )
-
-
-@dataclass(frozen=True)
-class UqcmOutput:
-    """Post-selected universal-cloner output with qubit bookkeeping."""
-
-    state: Ket
-    clone_qubits: tuple
-    anticlone_qubits: tuple
-    success_prob: float
-
-
 def uqcm(input_ket, P):
-    """Optimal universal 1 -> P cloner by symmetrization with singlet ancillas.
+    """Optimal universal 1 -> P cloner by symmetrization with singlet ancillas,
+    as (normalized state, success probability).
 
-    Qubit layout of the result: clones (input + P-1 ancillas) first, then the
-    P-1 anticlone qubits.
+    Qubit layout of the state: the P clones (input + P-1 ancillas) first, then
+    the P-1 anticlone qubits.
     """
     if P < 2:
         raise ValueError("P must be >= 2")
     if abs(input_ket.norm_sq - 1) > 1e-10:
         raise ValueError("input must be normalized")
     singlet = sk.bell_state(BellKind.PsiMinus)
-    state = sk.tensor_all([input_ket] + [singlet] * (P - 1))
     # interleaved layout S, A1, B1, A2, B2, ... -> S, A..., B...
     order = [0] + [1 + 2 * i for i in range(P - 1)] + [2 + 2 * i for i in range(P - 1)]
-    state = sk.permute_qubits(state, order)
+    state = sk.permute_qubits(sk.tensor_all([input_ket] + [singlet] * (P - 1)), order)
     _, success, normalized = project_and_postselect(state, list(range(P)))
-    return UqcmOutput(
-        state=normalized,
-        clone_qubits=tuple(range(P)),
-        anticlone_qubits=tuple(range(P, 2 * P - 1)),
-        success_prob=success,
-    )
-
-
-def _clone_fidelities(state, target):
-    """The M equal clone fidelities of a fully symmetrized output."""
-    coeffs = dicke_coefficients(state)
-    return [sk.fidelity(dicke_reduced_density(coeffs), target)] * state.num_qubits
+    return normalized, success
 
 
 def _flip_trailing(op, m, state):
@@ -341,15 +300,23 @@ def _flip_trailing(op, m, state):
     return Ket(state.num_qubits, (psi * scale).reshape(-1))
 
 
+def _symmetrized_report(scheme, target, state, earlier_log10=0.0):
+    """Both schemes' last stage: project every qubit of state onto the symmetric
+    subspace and read the clone fidelity with target, as (CloneReport, final).
+    earlier_log10 is the log10 of the earlier stages' probability."""
+    M = state.num_qubits
+    _, success, final = project_and_postselect(state, list(range(M)))
+    fid = sk.fidelity(dicke_reduced_density(dicke_coefficients(final)), target)
+    return CloneReport(scheme, [fid] * M, success, earlier_log10 + log10(success)), final
+
+
 def pqcm_scheme_a(input_phase, plane, P):
     """Universal cloner + in-plane NOT on anticlones + full symmetrization."""
     target = sk.equatorial_state(plane, input_phase)
-    out = uqcm(target, P)
-    state = _flip_trailing(plane.flip_pauli, len(out.anticlone_qubits), out.state)
-    _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
-    fids = _clone_fidelities(final, target)
-    total_log10 = log10(out.success_prob) + log10(success)
-    return _make_report("A", plane, input_phase, P, fids, success, total_log10), final
+    state, success = uqcm(target, P)
+    # rebinding drops the universal cloner's ket before the final stage
+    state = _flip_trailing(plane.flip_pauli, P - 1, state)
+    return _symmetrized_report("A", target, state, log10(success))
 
 
 def pqcm_scheme_b(input_phase, plane, P):
@@ -358,10 +325,7 @@ def pqcm_scheme_b(input_phase, plane, P):
         raise ValueError("P must be >= 2")
     target = sk.equatorial_state(plane, input_phase)
     bell = sk.bell_state(plane.bell_kind)
-    state = sk.tensor_all([target] + [bell] * (P - 1))
-    _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
-    fids = _clone_fidelities(final, target)
-    return _make_report("B", plane, input_phase, P, fids, success, log10(success)), final
+    return _symmetrized_report("B", target, sk.tensor_all([target] + [bell] * (P - 1)))
 
 
 def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):

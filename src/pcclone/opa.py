@@ -205,5 +205,8 @@ def photon_reduced_density(state):
     off = total - sector_weight[big_n]
     if off > 1e-10 * total or big_n < 1:
         raise ValueError("state must be supported on a single photon-number sector N >= 1")
+    if big_n > state.cutoff:
+        raise ValueError(f"reduced state requires photon number <= cutoff: sector N = {big_n} "
+                         f"is cut by the truncation at {state.cutoff}")
     coeffs = [state.amplitude(big_n - k, k) for k in range(big_n + 1)]
     return dicke_reduced_density(coeffs, _single_particle(state.mode_basis))

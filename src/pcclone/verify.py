@@ -30,7 +30,6 @@ from .angular import (
     projection_norm_sq,
 )
 from .cloner import (
-    DEFAULT_PROBE_PHASES,
     covariance_defect,
     pqcm_scheme_a,
     pqcm_scheme_b,
@@ -159,73 +158,55 @@ def symmetry_checks():
     return checks
 
 
-def cloner_checks():
-    checks = []
-    phases = DEFAULT_PROBE_PHASES
-    for P in (2, 3):
-        M = 2 * P - 1
-        opt = float(fidelity_formula("cov_odd", 1, M))
-        for plane in sk.PlaneId:
-            worst_fid = 0.0
-            worst_pair = 0.0
-            worst_offdiag = 0.0
-            worst_equiv = 0.0
-            for theta in phases:
-                finals = []
-                for run in (pqcm_scheme_a, pqcm_scheme_b):
-                    report, final = run(theta, plane, P)
-                    finals.append(final)
-                    worst_fid = max(
-                        worst_fid, max(abs(f - opt) for f in report.per_clone_fidelity)
-                    )
-                    reds = [sk.partial_trace(final, [q]).matrix for q in range(M)]
-                    for a in range(M):
-                        for b in range(a + 1, M):
-                            worst_pair = max(worst_pair, float(np.max(np.abs(reds[a] - reds[b]))))
-                    target = sk.equatorial_state(plane, theta)
-                    perp = sk.equatorial_orthogonal(plane, theta)
-                    off = np.vdot(target.amplitudes, reds[0] @ perp.amplitudes)
-                    worst_offdiag = max(worst_offdiag, abs(off))
-                worst_equiv = max(worst_equiv, 1 - abs(finals[0].overlap(finals[1])) ** 2)
-            checks.append((f"per-clone fidelity optimal P={P} {plane.value}", worst_fid, 1e-10))
-            checks.append((f"reduced matrices identical P={P} {plane.value}", worst_pair, 1e-10))
-            checks.append((f"reduced state diagonal in-plane P={P} {plane.value}", worst_offdiag, 1e-10))
-            checks.append(
-                (f"covariance defect P={P} {plane.value}",
-                 covariance_defect(scheme_kernel("A", plane, P), phases[:4]), 1e-10)
-            )
-            checks.append((f"scheme equivalence P={P} {plane.value}", worst_equiv, 1e-12))
-    return checks + engine_checks()
-
-
 def _log10(fraction):
     return log10(fraction.numerator) - log10(fraction.denominator)
 
 
-def engine_checks():
-    """The Dicke engine against the dense oracle and the closed forms F1, F2."""
+def cloner_checks():
+    """The dense oracle, the Dicke engine against it, and the closed forms F1
+    and F2. Each dense run at odd M <= 13 feeds every check that reads it."""
     checks = []
-    pairs = (("A", pqcm_scheme_a), ("B", pqcm_scheme_b))
-    phases = (0.0, 0.9, 4.1)
-    off_weight = 0.0
+    labels = {
+        "fidelity": ("per-clone fidelity optimal", 1e-10),
+        "pair": ("reduced matrices identical", 1e-10),
+        "offdiag": ("reduced state diagonal in-plane", 1e-10),
+        "covariance": ("covariance defect", 1e-10),
+        "equivalence": ("scheme equivalence", 1e-12),
+        "engine": ("Dicke engine == dense oracle", 1e-12),
+        "off_window": ("F1 dense oracle weight off D_{P-1}, D_P", 1e-27),
+    }
     for plane in sk.PlaneId:
-        worst = 0.0
+        defects = {key: [] for key in labels}
         for P in range(2, 8):
-            for theta in phases:
-                for scheme, dense in pairs:
-                    out = run_kernel(scheme_kernel(scheme, plane, P), theta)
-                    ref, ket = dense(theta, plane, P)
-                    ref_coeffs = sym.dicke_coefficients(ket, plane.basis)
+            M = 2 * P - 1
+            opt = float(fidelity_formula("cov_odd", 1, M))
+            kernels = {scheme: scheme_kernel(scheme, plane, P) for scheme in ("A", "B")}
+            defects["covariance"].append(covariance_defect(kernels["A"]))
+            for theta in (0.0, 0.9, 4.1):
+                target = sk.equatorial_state(plane, theta)
+                perp = sk.equatorial_orthogonal(plane, theta)
+                finals = []
+                for scheme, dense in (("A", pqcm_scheme_a), ("B", pqcm_scheme_b)):
+                    report, final = dense(theta, plane, P)
+                    finals.append(final)
+                    fids = report.per_clone_fidelity
+                    defects["fidelity"] += [abs(f - opt) for f in fids]
+                    reds = [sk.partial_trace(final, [q]).matrix for q in range(M)]
+                    defects["pair"] += [np.max(np.abs(r - reds[0])) for r in reds]
+                    defects["offdiag"].append(abs(np.vdot(target.amplitudes, reds[0] @ perp.amplitudes)))
+                    out = run_kernel(kernels[scheme], theta)
+                    ref_coeffs = sym.dicke_coefficients(final, plane.basis)
                     # F1 on the oracle: the engine's window holds all its weight
-                    off_weight = max(off_weight, np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum())
-                    worst = max(
-                        worst,
+                    defects["off_window"].append(np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum())
+                    defects["engine"] += [
                         1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)),
-                        abs(out.success_prob - ref.success_prob),
-                        abs(out.success_log10 - ref.success_log10),
-                        max(abs(out.fidelity - f) for f in ref.per_clone_fidelity),
-                    )
-        checks.append((f"Dicke engine == dense oracle (M <= 13) {plane.value}", worst, 1e-12))
+                        abs(out.success_prob - report.success_prob),
+                        abs(out.success_log10 - report.success_log10),
+                        *(abs(out.fidelity - f) for f in fids),
+                    ]
+                defects["equivalence"].append(1 - abs(finals[0].overlap(finals[1])) ** 2)
+        checks += [(f"{label} (M <= 13) {plane.value}", max(defects[key]), threshold)
+                   for key, (label, threshold) in labels.items()]
 
     sizes = (*range(2, 8), 301, 1001)
     pair_defect = 0.0
@@ -247,7 +228,6 @@ def engine_checks():
                 if final_stage is not None:
                     stage_defect["final"] = max(
                         stage_defect["final"], abs(out.stage_log10["final"] / final_stage - 1))
-    checks.append(("F1 dense oracle weight off D_{P-1}, D_P (M <= 13)", off_weight, 1e-27))
     checks.append(("F1 engine |c_{P-1}|^2 = |c_P|^2 = 1/2 (P <= 1001)", pair_defect, 1e-12))
     checks.append(("F2 UQCM stage log10 (P+1)/2^P, relative (P <= 1001)", stage_defect["uqcm"], 1e-12))
     checks.append(("F2 final stage log10 projection_norm_sq(P), relative (P <= 301)",

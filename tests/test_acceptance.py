@@ -150,15 +150,15 @@ def test_criterion_6_uqcm_stage():
 
     flipped = equatorial_orthogonal(PlaneId.XZ, theta)
     for P in (2, 3):
-        out = uqcm(target, P)
+        state, _ = uqcm(target, P)
         expected = (2 + 1 / P) / 3
-        for q in out.clone_qubits:
+        for q in range(P):
             worst_clone = max(
-                worst_clone, abs(fidelity(partial_trace(out.state, [q]), target) - expected)
+                worst_clone, abs(fidelity(partial_trace(state, [q]), target) - expected)
             )
-        for q in out.anticlone_qubits:
+        for q in range(P, 2 * P - 1):
             worst_anti = max(
-                worst_anti, abs(fidelity(partial_trace(out.state, [q]), flipped) - 2 / 3)
+                worst_anti, abs(fidelity(partial_trace(state, [q]), flipped) - 2 / 3)
             )
     ok = worst_clone < 1e-10 and worst_anti < 1e-10
     _report(

@@ -18,12 +18,13 @@ from pcclone import opa, verify
 from pcclone import symmetry as sym
 from pcclone.angular import gamma, gamma_closed_form
 from pcclone.cli import build_parser, main
-from pcclone.cloner import covariance_defect, scheme_kernel
+from pcclone.cloner import covariance_defect, pqcm_scheme_b, scheme_kernel
 from pcclone.statekit import Ket, PlaneId
 
 REAL_SYMMETRIZE = sym.symmetrize
 REAL_HAMILTONIAN = opa._apply_hamiltonian
 REAL_POWERS = sym.symmetric_powers
+REAL_SCHEME_B = pqcm_scheme_b
 
 
 def run_cli(capsys, *argv):
@@ -297,12 +298,21 @@ def _transposed_powers(u, N):
     return REAL_POWERS(np.asarray(u).T, N)
 
 
+def _shifted_scheme_b(input_phase, plane, P):
+    """pqcm_scheme_b run on the input at input_phase + 0.3."""
+    return REAL_SCHEME_B(input_phase + 0.3, plane, P)
+
+
 @pytest.mark.parametrize("suite,module,name,wrong,check", [
     ("symmetry", sym, "symmetrize", _summing_symmetrize, "matrix-free projection == permutation mean"),
     ("symmetry", sym, "symmetrize", _summing_symmetrize, "concatenation defect"),
     ("opa", opa, "_apply_hamiltonian", _wrong_rotated_phase, "rotated Hamiltonian form invariance"),
     ("symmetry", sym, "symmetric_powers", _transposed_powers, "symmetric power == per-qubit product"),
-], ids=["permutation mean", "concatenation", "form invariance", "symmetric power"])
+    ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "scheme equivalence"),
+    ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "Dicke engine == dense oracle"),
+    ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "reduced state diagonal in-plane"),
+], ids=["permutation mean", "concatenation", "form invariance", "symmetric power",
+        "scheme equivalence", "engine == oracle", "in-plane diagonal"])
 def test_replacement_check_fails_on_a_wrong_operator(monkeypatch, suite, module, name, wrong, check):
     monkeypatch.setattr(module, name, wrong)
     rows = [(defect, threshold) for label, defect, threshold in verify.SUITES[suite]()

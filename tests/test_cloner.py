@@ -66,18 +66,18 @@ class TestUqcm:
     @pytest.mark.parametrize("P,clone_fid", [(2, 5 / 6), (3, 7 / 9)])
     def test_clone_fidelity(self, P, clone_fid):
         target = equatorial_state(PlaneId.XZ, 0.4)
-        out = uqcm(target, P)
-        for q in out.clone_qubits:
-            assert abs(fidelity(partial_trace(out.state, [q]), target) - clone_fid) < 1e-10
+        state, _ = uqcm(target, P)
+        for q in range(P):
+            assert abs(fidelity(partial_trace(state, [q]), target) - clone_fid) < 1e-10
 
     def test_anticlone_fidelity(self):
         theta = 1.7
         target = equatorial_state(PlaneId.XY, theta)
         flipped = equatorial_orthogonal(PlaneId.XY, theta)
         for P in (2, 3):
-            out = uqcm(target, P)
-            for q in out.anticlone_qubits:
-                assert abs(fidelity(partial_trace(out.state, [q]), flipped) - 2 / 3) < 1e-10
+            state, _ = uqcm(target, P)
+            for q in range(P, 2 * P - 1):
+                assert abs(fidelity(partial_trace(state, [q]), flipped) - 2 / 3) < 1e-10
 
     def test_works_off_equator(self):
         # universal: fidelity independent of the input state
@@ -85,22 +85,22 @@ class TestUqcm:
         from pcclone.statekit import Ket
 
         target = Ket(1, amps)
-        out = uqcm(target, 2)
-        for q in out.clone_qubits:
-            assert abs(fidelity(partial_trace(out.state, [q]), target) - 5 / 6) < 1e-10
+        state, _ = uqcm(target, 2)
+        for q in range(2):
+            assert abs(fidelity(partial_trace(state, [q]), target) - 5 / 6) < 1e-10
 
     def test_dicke_expansion_matches_b_coefficients(self):
         P = 2
         theta = 0.9
         plane = PlaneId.XZ
         target = equatorial_state(plane, theta)
-        out = uqcm(target, P)
+        state, _ = uqcm(target, P)
         basis = plane_basis(plane, theta)
         overlaps = []
         for k in range(P):
             clone_part = dicke_state(DickeLabel(P, k), basis)
             anti_part = dicke_state(DickeLabel(P - 1, P - 1 - k), basis)
-            overlaps.append(tensor(clone_part, anti_part).overlap(out.state))
+            overlaps.append(tensor(clone_part, anti_part).overlap(state))
         lam = overlaps[0] / b_coef(P, 0).value()
         assert abs(abs(lam) - 1) < 1e-12
         for k in range(P):
@@ -133,8 +133,8 @@ class TestSchemeA:
         theta = 0.6
         plane = PlaneId.XZ
         target = equatorial_state(plane, theta)
-        out = uqcm(target, 2)
-        state = apply(plane.flip_pauli, [2], out.state)
+        state, _ = uqcm(target, 2)
+        state = apply(plane.flip_pauli, [2], state)
         fids = [fidelity(partial_trace(state, [q]), target) for q in range(3)]
         assert abs(fids[0] - 5 / 6) < 1e-10
         assert abs(fids[1] - 5 / 6) < 1e-10
@@ -145,9 +145,8 @@ class TestSchemeA:
         theta = 2.0
         plane = PlaneId.XZ
         target = equatorial_state(plane, theta)
-        out = uqcm(target, P)
-        state = out.state
-        for q in out.anticlone_qubits:
+        state, _ = uqcm(target, P)
+        for q in range(P, 2 * P - 1):
             state = apply(plane.flip_pauli, [q], state)
         unnormalized, _, _ = project_and_postselect(state, list(range(2 * P - 1)))
         basis = plane_basis(plane, theta)
@@ -177,7 +176,7 @@ class TestSchemeA:
 
 
 class TestDenseMemory:
-    @pytest.mark.parametrize("scheme, kets", [("A", 5), ("B", 4)])
+    @pytest.mark.parametrize("scheme, kets", [("A", 4), ("B", 4)])
     def test_dense_run_peak_memory(self, scheme, kets):
         # one dense run at M = 15 holds at most this many full-size kets at
         # once; the allowance of 1/16 ket covers the small arrays, so one more
@@ -347,7 +346,7 @@ class TestDickeEngine:
                 out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                 ref, ket = dense(theta, plane, P)
                 ref_coeffs = dicke_coefficients(ket, plane.basis)
-                assert (out.plane, out.num_qubits, out.offset) == (ref.plane, ref.M, ref.P - 1)
+                assert (out.plane, out.num_qubits, out.offset) == (plane, ket.num_qubits, P - 1)
                 assert 1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)) <= 1e-12
                 assert abs(out.success_prob - ref.success_prob) <= 1e-12
                 assert abs(out.success_log10 - ref.success_log10) <= 1e-12
@@ -499,11 +498,10 @@ class TestDickeEngine:
                 with np.errstate(all="raise"):
                     coeffs = kernel.output(a)
                 stages = kernel.stage_log10
-                source = uqcm(Ket(1, plane.basis @ a), P)
-                assert abs(10 ** stages["uqcm"] - source.success_prob) <= 1e-12
+                state, source_success = uqcm(Ket(1, plane.basis @ a), P)
+                assert abs(10 ** stages["uqcm"] - source_success) <= 1e-12
                 assert abs(10 ** stages["uqcm"] - (P + 1) / 2 ** P) <= 1e-12
-                state = source.state
-                for q in source.anticlone_qubits:
+                for q in range(P, 2 * P - 1):
                     state = apply(plane.flip_pauli, [q], state)
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
@@ -570,25 +568,16 @@ class TestCloneReport:
         out = run_kernel(scheme_kernel("B", PlaneId.XY, 2000), 0.0)
         assert out.success_prob == 0.0  # 2^P/C(2P,P) underflows past P ~ 1030
         assert np.isfinite(out.success_log10)
-        base = dict(M=3, P=2, scheme="B", plane=PlaneId.XY, input_phase=0.0,
-                    per_clone_fidelity=[5 / 6] * 3, optimal_fidelity=5 / 6)
         for prob, lg in ((0.5, -np.inf), (0.5, 0.1), (0.5, np.nan)):
             with pytest.raises(ValueError):
-                CloneReport(**base, success_prob=prob, success_log10=lg)
+                CloneReport(scheme="B", per_clone_fidelity=[5 / 6] * 3, success_prob=prob, success_log10=lg)
 
     def test_validation(self):
         good, _ = pqcm_scheme_a(0.0, PlaneId.XZ, 2)
+        for fids in ([5 / 6] * 4, [5 / 6]):  # M = 2P - 1 is odd and at least 3
+            with pytest.raises(ValueError):
+                dataclasses.replace(good, per_clone_fidelity=fids)
         with pytest.raises(ValueError):
-            dataclasses.replace(good, M=4)
+            CloneReport(scheme="C", per_clone_fidelity=[0.8] * 3, success_prob=0.5, success_log10=log10(0.5))
         with pytest.raises(ValueError):
-            CloneReport(
-                M=3, P=2, scheme="C", plane=PlaneId.XZ, input_phase=0.0,
-                per_clone_fidelity=[0.8] * 3, success_prob=0.5, optimal_fidelity=5 / 6,
-                success_log10=log10(0.5),
-            )
-        with pytest.raises(ValueError):
-            CloneReport(
-                M=3, P=2, scheme="A", plane=PlaneId.XZ, input_phase=0.0,
-                per_clone_fidelity=[1.5] * 3, success_prob=0.5, optimal_fidelity=5 / 6,
-                success_log10=log10(0.5),
-            )
+            CloneReport(scheme="A", per_clone_fidelity=[1.5] * 3, success_prob=0.5, success_log10=log10(0.5))

@@ -202,6 +202,15 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             photon_reduced_density(FockVec(4, amps))
 
+    def test_sector_above_cutoff_rejected(self):
+        # the grid holds N = 13 only as (n, 13 - n) with both n and 13 - n <= 12,
+        # so (13, 0) and (0, 13) are cut off and the sector is not a state
+        evolved, _ = evolve(fock_state(12, 1, 0, mode_basis=0.3), 0.05, 6)
+        idx = np.arange(13 ** 2)
+        sector = FockVec(12, evolved.amplitudes * (idx // 13 + idx % 13 == 13), 0.3)
+        with pytest.raises(ValueError, match="cut by the truncation"):
+            photon_reduced_density(sector)
+
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10])
     @pytest.mark.parametrize("off_weight,accepted", [(1e-12, True), (1e-8, False)])
