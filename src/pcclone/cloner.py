@@ -21,7 +21,9 @@ as a log10 included, and an apply per input (or batch of inputs) that writes
 the two coefficients. ``simulate`` builds one kernel per command and shares
 it between its run (``run_kernel``, one ``DickeOutput``: the window, the
 stages and the one clone fidelity) and the probes of ``covariance_defect``;
-nothing in either is O(M).
+nothing in either is O(M). The engine works in plane.basis end to end: in
+every plane the input is (1, e^{i theta})/sqrt2 there, the phase rotation
+diag(e^{-i angle/2}, e^{i angle/2}), and the clone fidelity is read there.
 
 The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act on
 2^M-amplitude kets and are the engine's oracle, used by ``verify`` and the
@@ -210,29 +212,28 @@ def scheme_kernel(scheme, plane, P):
     return SchemeKernel("A", plane, P, phase_common, stages)
 
 
+def _equatorial_input(theta):
+    """equatorial_state(plane, theta) in plane.basis, (1, e^{i theta})/sqrt2 in
+    every plane; an array of phases gives one row per phase."""
+    return np.exp(np.multiply.outer(theta, (0, 1j))) / np.sqrt(2)
+
+
 def run_kernel(kernel, input_phase):
-    """The kernel's scheme on one input phase, as a DickeOutput."""
-    plane, P = kernel.plane, kernel.P
-    M = 2 * P - 1
-    target = sk.equatorial_state(plane, input_phase)
-    coeffs = kernel.output(plane.basis.conj().T @ target.amplitudes)
-    fid = sk.fidelity(dicke_reduced_density(coeffs, plane.basis, P - 1, M), target)
-    return DickeOutput(plane, M, P - 1, coeffs, kernel.stage_log10, fid)
+    """The kernel's scheme on one input phase, as a DickeOutput, in plane.basis."""
+    P, a = kernel.P, _equatorial_input(input_phase)
+    coeffs = kernel.output(a)
+    fid = sk.fidelity(dicke_reduced_density(coeffs, offset=P - 1, num_qubits=2 * P - 1), Ket(1, a))
+    return DickeOutput(kernel.plane, 2 * P - 1, P - 1, coeffs, kernel.stage_log10, fid)
 
 
-def dicke_rotation(plane, angle, M, k):
-    """PhaseRotation(plane, angle) on all M qubits, as the diagonal it is on
-    Dicke coefficients in plane.basis, at the Dicke indices k.
-
-    R = exp(-i s angle flip/2) with s = plane.orientation, and flip is
-    diag(d0, d1) in plane.basis, so R = diag(r0, r1), r_i = exp(-i s angle d_i/2),
-    and |D_k> takes r0^(M-k) r1^k. The integer exponent d0 (M-k) + d1 k is
-    summed exactly before it meets the angle: on the window k = P-1, P it is
-    d0 and -d0 at any M. An array of angles gives one row per angle.
+def dicke_rotation(angle, M, k):
+    """PhaseRotation(plane, angle) on all M qubits, in any plane, as the diagonal
+    it is on Dicke coefficients in plane.basis, at the Dicke indices k: R is
+    diag(e^{-i angle/2}, e^{i angle/2}) there, so |D_k> takes e^{-i angle (M-2k)/2}.
+    M - 2k is formed in integers before it meets the angle; on the window
+    k = P-1, P it is +1 and -1 at any M. An array of angles gives one row per angle.
     """
-    d0, d1 = _flip_signs(plane)
-    k = np.asarray(k)
-    return np.exp(-0.5j * plane.orientation * np.multiply.outer(angle, d0 * (M - k) + d1 * k))
+    return np.exp(-0.5j * np.multiply.outer(angle, M - 2 * np.asarray(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +344,9 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     """
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
-    plane, P = kernel.plane, kernel.P
-    theta = np.asarray(probe_phases, dtype=float)
-    # each equatorial_state(plane, theta) in plane.basis: (1, e^{i theta})/sqrt2
-    inputs = np.exp(np.multiply.outer(theta, (0, 1j))) / np.sqrt(2)
-    coeffs = kernel.output(inputs)
-    back = dicke_rotation(plane, -theta, 2 * P - 1, (P - 1, P)) * coeffs
+    P, theta = kernel.P, np.asarray(probe_phases, dtype=float)
+    coeffs = kernel.output(_equatorial_input(theta))
+    back = dicke_rotation(-theta, 2 * P - 1, (P - 1, P)) * coeffs
     distance = sk.pure_trace_distance(back[:, None], back[None, :])
     return float(np.max(distance, where=~np.eye(len(theta), dtype=bool), initial=0.0))
 

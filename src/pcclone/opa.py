@@ -12,7 +12,8 @@ The Hamiltonian is never stored: ``evolve`` and ``first_order_output`` apply
 it matrix-free from its matrix elements, O((c+1)^2) per application, so the
 cutoff is limited by the series, not by a (c+1)^2 x (c+1)^2 matrix.
 ``fock_state`` refuses a cutoff whose (c+1)^2 amplitudes exceed
-``statekit.DENSE_BYTES`` (c > 4095) before it allocates them.
+``statekit.DENSE_BYTES`` (c > 4095) before it allocates them, and a pair
+(m, n) with m + n over the cutoff; ``FockVec.amplitude`` refuses one off the grid.
 ``build_hamiltonian`` and ``hamiltonian_in_rotated_modes`` tabulate the same
 action on the identity for the tests only.
 """
@@ -55,10 +56,16 @@ class FockVec:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def amplitude(self, m, n):
+        if not (0 <= m <= self.cutoff and 0 <= n <= self.cutoff):
+            raise ValueError(f"amplitude requires 0 <= m, n <= cutoff: (m, n) = ({m}, {n}) "
+                             f"is off the grid at cutoff {self.cutoff}")
         return complex(self.amplitudes[m * (self.cutoff + 1) + n])
 
 
 def fock_state(cutoff, m, n, mode_basis="HV"):
+    if m < 0 or n < 0 or m + n > cutoff:
+        raise ValueError(f"Fock state requires m, n >= 0 and m + n <= cutoff: |{m}, {n}> "
+                         f"is not held by the truncation at {cutoff}")
     _check_capacity((cutoff + 1) ** 2)
     amps = np.zeros((cutoff + 1) ** 2, dtype=complex)
     amps[m * (cutoff + 1) + n] = 1.0
@@ -172,18 +179,12 @@ def change_mode_basis(state, new_basis):
     return FockVec(c, out, new_basis)
 
 
-def _mode_matrix(basis):
-    """Rows express the basis mode creation ops over (a_H^dag, a_V^dag)."""
+def _single_particle(basis):
+    """Columns express the basis pair's one-photon states over (|H>, |V>)."""
     if basis == "HV":
         return np.eye(2, dtype=complex)
     phi = float(basis)
-    return np.array(
-        [[1, np.exp(1j * phi)], [-np.exp(-1j * phi), 1]], dtype=complex
-    ) / sqrt(2)
-
-
-def _single_particle(basis):
-    return _mode_matrix(basis).T
+    return np.array([[1, -np.exp(-1j * phi)], [np.exp(1j * phi), 1]], dtype=complex) / sqrt(2)
 
 
 def photon_reduced_density(state):

@@ -36,7 +36,6 @@ def _check_capacity(entries):
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,9 @@ class BellKind(Enum):
 class PlaneId(Enum):
     """Equatorial plane of the Bloch sphere.
 
-    Each plane fixes a canonical basis pair {|psi>, |psi_perp>}, the Pauli
-    realizing the in-plane NOT, and the Bell ancilla selecting this plane in
-    the direct-symmetrization cloner.
+    Each plane fixes a canonical basis pair {|psi>, |psi_perp>}, where its phase
+    rotation is diag(e^{-i angle/2}, e^{i angle/2}), the Pauli realizing the
+    in-plane NOT, and the Bell ancilla selecting it in the symmetrization cloner.
     """
 
     XZ = "xz"
@@ -125,15 +124,6 @@ class PlaneId(Enum):
         return {PlaneId.XZ: SIGMA_Y, PlaneId.YZ: SIGMA_X, PlaneId.XY: SIGMA_Z}[self]
 
     @property
-    def orientation(self):
-        """Sign making exp(-i s*angle*sigma/2) advance the canonical phase.
-
-        The XZ pair {|R>, |L>} lists the -1 eigenvector of sigma_Y first, so
-        its orientation is reversed relative to the other two planes.
-        """
-        return -1 if self is PlaneId.XZ else 1
-
-    @property
     def bell_kind(self):
         """Bell ancilla selecting this plane in the symmetrization cloner.
 
@@ -151,9 +141,9 @@ class PlaneId(Enum):
 class PhaseRotation:
     """Rotation about the plane's normal axis advancing the equatorial phase.
 
-    Realizes exp(-i s*angle*sigma/2) with s the plane's orientation, so that
-    equatorial_state(plane, theta) maps to equatorial_state(plane,
-    theta + angle) up to a global phase for every plane.
+    It is diag(e^{-i angle/2}, e^{i angle/2}) in plane.basis, in every plane,
+    so equatorial_state(plane, theta) maps to equatorial_state(plane,
+    theta + angle) up to a global phase.
     """
 
     plane: PlaneId
@@ -161,8 +151,8 @@ class PhaseRotation:
 
     @property
     def matrix(self):
-        half = self.plane.orientation * self.angle / 2
-        return np.cos(half) * IDENTITY2 - 1j * np.sin(half) * self.plane.flip_pauli
+        b = self.plane.basis
+        return b @ np.diag(np.exp([-0.5j * self.angle, 0.5j * self.angle])) @ b.conj().T
 
 
 def equatorial_state(plane, phase):

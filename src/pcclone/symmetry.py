@@ -31,7 +31,8 @@ class DickeLabel:
 
 def symmetric_powers(u, N):
     """Yield S_n[j, k] = <D_j|u^(x n)|D_k>, n = 0, ..., N, the one-qubit map u on
-    the symmetric subspace of n qubits, in O(N^3) and with no binomials.
+    the symmetric subspace of n qubits, in O(N^3) and with no binomials; every
+    basis change of a symmetric state or its Dicke coefficients goes through it.
 
     |D_k^n> = sqrt((n-k)/n) |D_k^{n-1}>|0> + sqrt(k/n) |D_{k-1}^{n-1}>|1>, so
     S_n is four shifted copies of S_{n-1}, one per entry u[r, c], with row r and
@@ -56,18 +57,13 @@ def _hamming(n):
     return weight, np.array([comb(n, w) for w in range(n + 1)], dtype=float)
 
 
-def dicke_state(label, basis=None):
-    """Normalized symmetric state with the given excitation count.
-
-    ``basis`` is a 2x2 matrix whose columns define {|phi>, |phi_perp>};
-    default is the computational basis. With a basis the state is column k
-    of S_n(basis) over the computational Dicke states.
-    """
+def dicke_state(label):
+    """Normalized computational-basis symmetric state with the given excitation
+    count; in another basis |D_k> is column k of S_n(basis) over these."""
     n, k = label.n, label.k
     _check_capacity(2 ** n)
     weight, counts = _hamming(n)
-    s = np.eye(n + 1) if basis is None else [*symmetric_powers(basis, n)][-1]
-    return Ket(n, (s[:, k] / np.sqrt(counts))[weight])
+    return Ket(n, (weight == k) / np.sqrt(counts[k]))
 
 
 def symmetric_projector(n):
@@ -105,18 +101,12 @@ def symmetrize(state, subset):
     return Ket(n, out.reshape(-1))
 
 
-def dicke_coefficients(state, basis=None):
-    """Coefficients <D_k|state>, k = 0..n, of a permutation-symmetric ket.
-
-    ``basis`` has the columns {|phi>, |phi_perp>} (default: computational).
-    A symmetric ket has one amplitude per Hamming weight, and index 2^k - 1
-    has weight k; a basis then maps these coefficients by S_n(basis^dag).
-    """
+def dicke_coefficients(state):
+    """Computational-basis coefficients <D_k|state>, k = 0..n, of a
+    permutation-symmetric ket: it has one amplitude per Hamming weight, and
+    index 2^k - 1 has weight k. S_n(basis^dag) maps them into another basis."""
     n = state.num_qubits
-    coeffs = np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
-    if basis is not None:
-        coeffs = [*symmetric_powers(np.asarray(basis).conj().T, n)][-1] @ coeffs
-    return coeffs
+    return np.array([state.amplitudes[2 ** k - 1] * sqrt(comb(n, k)) for k in range(n + 1)])
 
 
 def dicke_reduced_density(coeffs, basis=None, offset=0, num_qubits=None):

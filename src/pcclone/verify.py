@@ -177,6 +177,8 @@ def cloner_checks():
     }
     for plane in sk.PlaneId:
         defects = {key: [] for key in labels}
+        # S_M of the map into plane.basis, for every M of the sweep, in one pass
+        to_plane = [*sym.symmetric_powers(plane.basis.conj().T, 13)]
         for P in range(2, 8):
             M = 2 * P - 1
             opt = float(fidelity_formula("cov_odd", 1, M))
@@ -195,7 +197,7 @@ def cloner_checks():
                     defects["pair"] += [np.max(np.abs(r - reds[0])) for r in reds]
                     defects["offdiag"].append(abs(np.vdot(target.amplitudes, reds[0] @ perp.amplitudes)))
                     out = run_kernel(kernels[scheme], theta)
-                    ref_coeffs = sym.dicke_coefficients(final, plane.basis)
+                    ref_coeffs = to_plane[M] @ sym.dicke_coefficients(final)
                     # F1 on the oracle: the engine's window holds all its weight
                     defects["off_window"].append(np.delete(np.abs(ref_coeffs) ** 2, [P - 1, P]).sum())
                     defects["engine"] += [

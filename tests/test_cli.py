@@ -298,6 +298,11 @@ def _transposed_powers(u, N):
     return REAL_POWERS(np.asarray(u).T, N)
 
 
+def _swapped_columns_powers(u, N):
+    """symmetric_powers with u's two columns swapped."""
+    return REAL_POWERS(np.asarray(u)[:, ::-1], N)
+
+
 def _shifted_scheme_b(input_phase, plane, P):
     """pqcm_scheme_b run on the input at input_phase + 0.3."""
     return REAL_SCHEME_B(input_phase + 0.3, plane, P)
@@ -311,8 +316,9 @@ def _shifted_scheme_b(input_phase, plane, P):
     ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "scheme equivalence"),
     ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "Dicke engine == dense oracle"),
     ("cloner", verify, "pqcm_scheme_b", _shifted_scheme_b, "reduced state diagonal in-plane"),
+    ("cloner", sym, "symmetric_powers", _swapped_columns_powers, "Dicke engine == dense oracle"),
 ], ids=["permutation mean", "concatenation", "form invariance", "symmetric power",
-        "scheme equivalence", "engine == oracle", "in-plane diagonal"])
+        "scheme equivalence", "engine == oracle", "in-plane diagonal", "plane map"])
 def test_replacement_check_fails_on_a_wrong_operator(monkeypatch, suite, module, name, wrong, check):
     monkeypatch.setattr(module, name, wrong)
     rows = [(defect, threshold) for label, defect, threshold in verify.SUITES[suite]()

@@ -45,6 +45,7 @@ from pcclone.symmetry import (
     dicke_coefficients,
     dicke_state,
     project_and_postselect,
+    symmetric_powers,
 )
 
 PLANES = list(PlaneId)
@@ -60,6 +61,20 @@ def plane_basis(plane, theta):
     phi = equatorial_state(plane, theta).amplitudes
     perp = equatorial_orthogonal(plane, theta).amplitudes
     return np.column_stack([phi, perp])
+
+
+def plane_dicke_state(label, basis):
+    """|D_k> with the basis columns as {|phi>, |phi_perp>}: column k of
+    S_n(basis) over the computational Dicke states."""
+    s = [*symmetric_powers(basis, label.n)][-1]
+    return Ket(label.n, sum(s[j, label.k] * dicke_state(DickeLabel(label.n, j)).amplitudes
+                            for j in range(label.n + 1)))
+
+
+def plane_dicke_coefficients(state, basis):
+    """Dicke coefficients of a symmetric ket with the basis columns as
+    {|phi>, |phi_perp>}: S_n(basis^dag) on the computational ones."""
+    return [*symmetric_powers(basis.conj().T, state.num_qubits)][-1] @ dicke_coefficients(state)
 
 
 class TestUqcm:
@@ -98,8 +113,8 @@ class TestUqcm:
         basis = plane_basis(plane, theta)
         overlaps = []
         for k in range(P):
-            clone_part = dicke_state(DickeLabel(P, k), basis)
-            anti_part = dicke_state(DickeLabel(P - 1, P - 1 - k), basis)
+            clone_part = plane_dicke_state(DickeLabel(P, k), basis)
+            anti_part = plane_dicke_state(DickeLabel(P - 1, P - 1 - k), basis)
             overlaps.append(tensor(clone_part, anti_part).overlap(state))
         lam = overlaps[0] / b_coef(P, 0).value()
         assert abs(abs(lam) - 1) < 1e-12
@@ -151,7 +166,7 @@ class TestSchemeA:
         unnormalized, _, _ = project_and_postselect(state, list(range(2 * P - 1)))
         basis = plane_basis(plane, theta)
         overlaps = [
-            dicke_state(DickeLabel(2 * P - 1, 2 * k), basis).overlap(unnormalized)
+            plane_dicke_state(DickeLabel(2 * P - 1, 2 * k), basis).overlap(unnormalized)
             for k in range(P)
         ]
         lam = overlaps[0] / d_coef(P, 0).value()
@@ -345,7 +360,7 @@ class TestDickeEngine:
             for theta in (0.0, 0.9, 4.1):
                 out = run_kernel(scheme_kernel(scheme, plane, P), theta)
                 ref, ket = dense(theta, plane, P)
-                ref_coeffs = dicke_coefficients(ket, plane.basis)
+                ref_coeffs = plane_dicke_coefficients(ket, plane.basis)
                 assert (out.plane, out.num_qubits, out.offset) == (plane, ket.num_qubits, P - 1)
                 assert 1 - abs(np.vdot(ref_coeffs[P - 1:P + 1], out.coeffs)) <= 1e-12
                 assert abs(out.success_prob - ref.success_prob) <= 1e-12
@@ -415,24 +430,22 @@ class TestDickeEngine:
         for M in (1, 2, 5):
             coeffs = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
             coeffs /= np.linalg.norm(coeffs)
-            ket = Ket(M, sum(c * dicke_state(DickeLabel(M, k), plane.basis).amplitudes
+            ket = Ket(M, sum(c * plane_dicke_state(DickeLabel(M, k), plane.basis).amplitudes
                              for k, c in enumerate(coeffs)))
             for angle in (0.4, -2.3, 7.0):
                 turned = phase_rotate(PhaseRotation(plane, angle), ket, list(range(M)))
-                want = dicke_coefficients(turned, plane.basis)
-                turn = dicke_rotation(plane, angle, M, np.arange(M + 1))
+                want = plane_dicke_coefficients(turned, plane.basis)
+                turn = dicke_rotation(angle, M, np.arange(M + 1))
                 assert np.max(np.abs(turn * coeffs - want)) <= 1e-12
 
     def test_rotation_on_the_window_at_huge_m(self):
-        # the exponent d0 (M-k) + d1 k is the integer d0 at k = P-1 and -d0 at
-        # k = P; summed in floats past 2^53 it would lose the +-1
+        # the exponent M - 2k is the integer 1 at k = P-1 and -1 at k = P;
+        # formed in floats past 2^53 it would lose the +-1
         M = 10 ** 17 + 1
         P = (M + 1) // 2
         thetas = np.array([0.3, -2.0, 5.5])
-        for plane in PLANES:
-            half = 0.5 * plane.orientation * thetas * cloner._flip_signs(plane)[0]
-            want = np.exp(np.stack((-1j * half, 1j * half), axis=-1))
-            assert np.max(np.abs(dicke_rotation(plane, thetas, M, (P - 1, P)) - want)) <= 1e-15
+        want = np.exp(np.multiply.outer(thetas, (-0.5j, 0.5j)))
+        assert np.max(np.abs(dicke_rotation(thetas, M, (P - 1, P)) - want)) <= 1e-15
 
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_kernel_and_probes_allocate_no_o_m_array(self, scheme, capsys):
@@ -479,7 +492,7 @@ class TestDickeEngine:
         for P in (*range(2, 9), 301, 1001):
             M = 2 * P - 1
             for probes in (cloner.DEFAULT_PROBE_PHASES, seeded):
-                back = [dicke_rotation(plane, -theta, M, (P - 1, P))
+                back = [dicke_rotation(-theta, M, (P - 1, P))
                         * run_kernel(scheme_kernel(scheme, plane, P), theta).coeffs
                         for theta in probes]
                 want = max(pure_trace_distance(b, a)
@@ -505,7 +518,7 @@ class TestDickeEngine:
                     state = apply(plane.flip_pauli, [q], state)
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
-                ref_coeffs = dicke_coefficients(final, plane.basis)[P - 1:P + 1]
+                ref_coeffs = plane_dicke_coefficients(final, plane.basis)[P - 1:P + 1]
                 assert 1 - abs(np.vdot(ref_coeffs, coeffs)) <= 1e-12
 
     @pytest.mark.parametrize("plane", PLANES)
@@ -521,7 +534,7 @@ class TestDickeEngine:
                 _, success, final = project_and_postselect(state, list(range(2 * P - 1)))
                 assert abs(10 ** stages["final"] - success) <= 1e-12
                 assert abs(10 ** stages["final"] - 2 ** P / comb(2 * P, P)) <= 1e-12
-                ref_coeffs = dicke_coefficients(final, plane.basis)[P - 1:P + 1]
+                ref_coeffs = plane_dicke_coefficients(final, plane.basis)[P - 1:P + 1]
                 assert 1 - abs(np.vdot(ref_coeffs, coeffs)) <= 1e-12
 
     def test_refuses_non_monomial_ancilla(self, monkeypatch):

@@ -53,6 +53,20 @@ class TestFockState:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("m,n", [(0, 5), (-1, 0), (4, 0), (0, -1), (2, 2)])
+    def test_pair_off_the_truncation_refused(self, m, n):
+        # the flat index m (c+1) + n would wrap (0, 5) into |1,1> and (-1, 0)
+        # into |3,0>, and put (4, 0) past the end
+        with pytest.raises(ValueError, match=r"m \+ n <= cutoff: \|"):
+            fock_state(3, m, n)
+
+    @pytest.mark.parametrize("m,n", [(0, 5), (-1, 0), (4, 0), (0, 4)])
+    def test_amplitude_off_the_grid_refused(self, m, n):
+        state = fock_state(3, 1, 1)
+        assert state.amplitude(1, 1) == 1 and state.amplitude(3, 3) == 0
+        with pytest.raises(ValueError, match="0 <= m, n <= cutoff"):
+            state.amplitude(m, n)
+
 
 class TestHamiltonian:
     def test_hermitian(self):

@@ -257,6 +257,9 @@ def test_rotation_unitary(plane):
     for angle in (0.3, 1.9, 5.0):
         u = PhaseRotation(plane, angle).matrix
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+        # the one plane convention: the same diagonal in every plane's basis
+        in_plane = plane.basis.conj().T @ u @ plane.basis
+        assert np.max(np.abs(in_plane - np.diag(np.exp([-0.5j * angle, 0.5j * angle])))) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from pcclone.symmetry import (
     dicke_reduced_density,
     dicke_state,
     project_and_postselect,
+    symmetric_powers,
     symmetric_projector,
     symmetrize,
 )
@@ -27,15 +28,18 @@ def test_dicke_3_2():
     expected = np.zeros(8)
     expected[[3, 5, 6]] = 1 / np.sqrt(3)  # |011>, |101>, |110>
     np.testing.assert_allclose(ket.amplitudes, expected)
-    # in a plane basis: its definition, the basis on every qubit
+    # in a plane basis, column k of S_n(basis) over these, against its
+    # definition: the basis on every qubit
     for plane in PlaneId:
         for n in range(1, 7):
+            s = [*symmetric_powers(plane.basis, n)][-1]
+            computational = [dicke_state(DickeLabel(n, j)).amplitudes for j in range(n + 1)]
             for k in range(n + 1):
                 ket = dicke_state(DickeLabel(n, k))
                 for q in range(n):
                     ket = apply(plane.basis, [q], ket)
-                rotated = dicke_state(DickeLabel(n, k), plane.basis)
-                assert np.max(np.abs(rotated.amplitudes - ket.amplitudes)) <= 1e-14
+                rotated = s[:, k] @ computational
+                assert np.max(np.abs(rotated - ket.amplitudes)) <= 1e-14
 
 
 def test_dicke_3_0():
