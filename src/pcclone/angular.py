@@ -311,9 +311,8 @@ def gamma(P):
 
 
 def gamma_closed_form(P):
-    """(1/2)(1 + (M+1)/(2M)) with M = 2P-1, exact."""
-    M = 2 * P - 1
-    return Fraction(1, 2) * (1 + Fraction(M + 1, 2 * M))
+    """The optimal fidelity at M = 2P-1, exact, which ``gamma(P)`` must equal."""
+    return fidelity_formula("cov_odd", 1, 2 * P - 1)
 
 
 def fidelity_formula(kind, N, M=None):

@@ -22,7 +22,7 @@ the two coefficients. ``simulate`` builds one kernel per command and shares
 it between its run (``run_kernel``, one ``DickeOutput``: the window, the
 stages and the one clone fidelity) and the probes of ``covariance_defect``;
 nothing in either is O(M). The engine works in plane.basis end to end: in
-every plane the input is (1, e^{i theta})/sqrt2 there, the phase rotation
+every plane the input is ``statekit.equatorial_amplitudes``, the phase rotation
 diag(e^{-i angle/2}, e^{i angle/2}), and the clone fidelity is read there.
 
 The dense pipelines (``uqcm`` and ``pqcm_scheme_a``/``pqcm_scheme_b``) act on
@@ -33,8 +33,8 @@ reversal of the trailing index (``_flip_trailing``), and both schemes end in
 one shared step (``_symmetrized_report``) that projects all M qubits and reads
 the clone fidelity. One scheme-A run takes about 2 ms at M=13 and 1.3 s at
 M=23 (543 MiB peak) on a 2-core x86-64 VM with one BLAS thread. The dense byte
-budget (``statekit.DENSE_BYTES``, 2^24 amplitudes) stops them at M = 23 and
-the engine at M = 2^24 - 1.
+budget (``statekit.DENSE_BYTES``, 2^24 amplitudes) stops them at M = 23; the
+engine allocates no O(M) array and consults no budget.
 
 Success-probability bookkeeping: each post-selection stage renormalizes and
 reports its own probability. success_prob (of DickeOutput, and of
@@ -190,7 +190,6 @@ def scheme_kernel(scheme, plane, P):
         raise ValueError("scheme must be 'A' or 'B'")
     if P < 2:
         raise ValueError("P must be >= 2")
-    sk._check_capacity(2 * P)
     if scheme == "A":
         # the NOT on the anticlone multiplies its column by the flip's diagonal
         pair = _pair_table(plane, sk.bell_state(BellKind.PsiMinus), "the singlet") * _flip_signs(plane)
@@ -212,15 +211,9 @@ def scheme_kernel(scheme, plane, P):
     return SchemeKernel("A", plane, P, phase_common, stages)
 
 
-def _equatorial_input(theta):
-    """equatorial_state(plane, theta) in plane.basis, (1, e^{i theta})/sqrt2 in
-    every plane; an array of phases gives one row per phase."""
-    return np.exp(np.multiply.outer(theta, (0, 1j))) / np.sqrt(2)
-
-
 def run_kernel(kernel, input_phase):
     """The kernel's scheme on one input phase, as a DickeOutput, in plane.basis."""
-    P, a = kernel.P, _equatorial_input(input_phase)
+    P, a = kernel.P, sk.equatorial_amplitudes(input_phase)
     coeffs = kernel.output(a)
     fid = sk.fidelity(dicke_reduced_density(coeffs, offset=P - 1, num_qubits=2 * P - 1), Ket(1, a))
     return DickeOutput(kernel.plane, 2 * P - 1, P - 1, coeffs, kernel.stage_log10, fid)
@@ -345,7 +338,7 @@ def covariance_defect(kernel, probe_phases=DEFAULT_PROBE_PHASES):
     if not probe_phases:
         raise ValueError("probe list must be nonempty")
     P, theta = kernel.P, np.asarray(probe_phases, dtype=float)
-    coeffs = kernel.output(_equatorial_input(theta))
+    coeffs = kernel.output(sk.equatorial_amplitudes(theta))
     back = dicke_rotation(-theta, 2 * P - 1, (P - 1, P)) * coeffs
     distance = sk.pure_trace_distance(back[:, None], back[None, :])
     return float(np.max(distance, where=~np.eye(len(theta), dtype=bool), initial=0.0))

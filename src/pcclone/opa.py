@@ -145,15 +145,14 @@ def evolve(state, gain, order):
     return FockVec(state.cutoff, acc, state.mode_basis), remainder
 
 
-def first_order_output(phase, cutoff=6):
-    """Coefficient of gain^1 for an injected |phi>-polarized photon.
+def first_order_output(phase):
+    """Coefficient of gain^1 for an injected |phi>-polarized photon, at cutoff 6.
 
     The injected state is |1,0> in the rotated {phi, phi_perp} basis; the
-    first-order term lives entirely in the 3-photon sector with amplitude
-    ratio (3,0):(1,2) = sqrt6 : -sqrt2 e^{2i phi} up to one global factor.
+    first-order term lives entirely in the 3-photon sector, the same at every
+    cutoff >= 3, with amplitude ratio (3,0):(1,2) = sqrt6 : -sqrt2 e^{2i phi}.
     """
-    if cutoff < 3:
-        raise ValueError("cutoff must be >= 3")
+    cutoff = 6
     injected = fock_state(cutoff, 1, 0, mode_basis=float(phase))
     amps = _apply_hamiltonian(float(phase), cutoff, injected.amplitudes)
     return FockVec(cutoff, -1j * amps + 0.0, float(phase))  # + 0.0: no -0.0 parts

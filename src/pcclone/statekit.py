@@ -155,18 +155,16 @@ class PhaseRotation:
         return b @ np.diag(np.exp([-0.5j * self.angle, 0.5j * self.angle])) @ b.conj().T
 
 
+def equatorial_amplitudes(phase):
+    """The equatorial input (1, e^{i phase})/sqrt2 in plane.basis, the same in
+    every plane; an array of phases gives one row per phase."""
+    return np.exp(np.multiply.outer(phase, (0, 1j))) / np.sqrt(2)
+
+
 def equatorial_state(plane, phase):
-    """(|psi> + e^{i phase}|psi_perp>)/sqrt2 in the plane's canonical basis."""
-    b = plane.basis
-    amps = (b[:, 0] + np.exp(1j * phase) * b[:, 1]) / np.sqrt(2)
-    return Ket(1, amps)
-
-
-def equatorial_orthogonal(plane, phase):
-    """The in-plane orthogonal partner (|psi> - e^{i phase}|psi_perp>)/sqrt2."""
-    b = plane.basis
-    amps = (b[:, 0] - np.exp(1j * phase) * b[:, 1]) / np.sqrt(2)
-    return Ket(1, amps)
+    """(|psi> + e^{i phase}|psi_perp>)/sqrt2 over the computational basis; its
+    in-plane orthogonal partner is equatorial_state(plane, phase + pi)."""
+    return Ket(1, plane.basis @ equatorial_amplitudes(phase))
 
 
 def bell_state(which):

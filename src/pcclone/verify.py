@@ -186,7 +186,7 @@ def cloner_checks():
             defects["covariance"].append(covariance_defect(kernels["A"]))
             for theta in (0.0, 0.9, 4.1):
                 target = sk.equatorial_state(plane, theta)
-                perp = sk.equatorial_orthogonal(plane, theta)
+                perp = sk.equatorial_state(plane, theta + np.pi)
                 finals = []
                 for scheme, dense in (("A", pqcm_scheme_a), ("B", pqcm_scheme_b)):
                     report, final = dense(theta, plane, P)
@@ -259,15 +259,14 @@ def opa_checks():
 
     worst = 0.0
     for phi in (0.0, 0.7, np.pi / 2, 2.5, 4.0, 5.5, 1.1, 3.3):
-        out = opa.first_order_output(phi, cutoff)
+        out = opa.first_order_output(phi)
         ratio = out.amplitude(1, 2) / out.amplitude(3, 0)
         expected = -np.sqrt(2 / 6) * np.exp(2j * phi)
         worst = max(worst, abs(ratio - expected))
     checks.append(("first-order amplitude ratio -sqrt(1/3) e^{2i phi}", worst, 1e-10))
 
-    out = opa.first_order_output(0.3, cutoff)
-    rho = opa.photon_reduced_density(out)
-    target = sk.Ket(1, np.array([1, np.exp(1j * 0.3)]) / np.sqrt(2))
+    rho = opa.photon_reduced_density(opa.first_order_output(0.3))
+    target = sk.equatorial_state(sk.PlaneId.XY, 0.3)
     checks.append(("first-order reduced fidelity 5/6", abs(sk.fidelity(rho, target) - 5 / 6), 1e-9))
 
     # roomier cutoff: the perturbative flow from 1 photon must fit well below it

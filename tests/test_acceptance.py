@@ -146,9 +146,7 @@ def test_criterion_6_uqcm_stage():
     worst_anti = 0.0
     theta = 0.9
     target = equatorial_state(PlaneId.XZ, theta)
-    from pcclone.statekit import equatorial_orthogonal
-
-    flipped = equatorial_orthogonal(PlaneId.XZ, theta)
+    flipped = equatorial_state(PlaneId.XZ, theta + np.pi)
     for P in (2, 3):
         state, _ = uqcm(target, P)
         expected = (2 + 1 / P) / 3

@@ -452,7 +452,7 @@ def test_negative_infinity_is_refused_as_not_finite(capsys):
     ["no-such-command"],
     [],
     ["simulate"],
-    ["simulate", "--M", "16777217"],  # over the dense byte budget: 2^24 + 2 coefficients
+    ["simulate", "--M", "16777217"],  # past the parser's bound, 2^24 - 1
     ["simulate", "--M", "1999999999999999999999"],
 ])
 def test_argument_error_is_one_line(capsys, argv):
@@ -460,6 +460,14 @@ def test_argument_error_is_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", ["16777217", "1999999999999999999999"])
+def test_m_past_the_bound_names_the_bound(capsys, m):
+    code, out, err = run_cli(capsys, "simulate", "--M", m)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "16777215" in err and "dense array" not in err
 
 
 def test_cached_parser_matches_fresh_parser(capsys):

@@ -28,7 +28,6 @@ from pcclone.statekit import (
     PlaneId,
     apply,
     bell_state,
-    equatorial_orthogonal,
     equatorial_state,
     fidelity,
     outer,
@@ -59,7 +58,7 @@ OFF_EQUATOR = (np.array([np.sqrt(0.8), np.sqrt(0.2) * np.exp(0.7j)]), [1, 0], [0
 def plane_basis(plane, theta):
     """2x2 basis matrix with columns |phi>, |phi_perp> for a probe state."""
     phi = equatorial_state(plane, theta).amplitudes
-    perp = equatorial_orthogonal(plane, theta).amplitudes
+    perp = equatorial_state(plane, theta + np.pi).amplitudes
     return np.column_stack([phi, perp])
 
 
@@ -88,7 +87,7 @@ class TestUqcm:
     def test_anticlone_fidelity(self):
         theta = 1.7
         target = equatorial_state(PlaneId.XY, theta)
-        flipped = equatorial_orthogonal(PlaneId.XY, theta)
+        flipped = equatorial_state(PlaneId.XY, theta + np.pi)
         for P in (2, 3):
             state, _ = uqcm(target, P)
             for q in range(P, 2 * P - 1):
@@ -449,7 +448,7 @@ class TestDickeEngine:
 
     @pytest.mark.parametrize("scheme", ["A", "B"])
     def test_kernel_and_probes_allocate_no_o_m_array(self, scheme, capsys):
-        # M = 2^24 - 1, the byte budget's edge: one (M+1)-entry complex
+        # M = 2^24 - 1, the parser's bound: one (M+1)-entry complex
         # vector there is 256 MiB, and a list of M fidelities 134 MB
         peaks = []
         tracemalloc.start()
@@ -465,6 +464,14 @@ class TestDickeEngine:
             tracemalloc.stop()
         assert max(peaks) < 2 ** 20
         assert defect <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_engine_runs_past_the_parser_bound(self, scheme):
+        # the engine consults no dense budget: P = 2^24 is M = 2^25 - 1, twice
+        # the largest M simulate accepts
+        M = 2 ** 25 - 1
+        out = run_kernel(scheme_kernel(scheme, PlaneId.XY, 2 ** 24), 0.3)
+        assert abs(out.fidelity - (3 * M + 1) / (4 * M)) <= 1e-15
 
     def test_record_checks(self):
         # the O(1) range checks of the dense report, on the engine's record

@@ -100,7 +100,6 @@ class TestHamiltonian:
         for call in (
             lambda: build_hamiltonian(2),
             lambda: hamiltonian_in_rotated_modes(2, 0.3),
-            lambda: first_order_output(0.3, 2),
             lambda: evolve(fock_state(2, 1, 0, mode_basis=0.3), 0.1, 2),
             lambda: evolve(fock_state(2, 1, 0), 0.1, 2),
         ):
@@ -119,7 +118,7 @@ class TestEvolve:
         gain = 0.01
         st = fock_state(6, 1, 0, mode_basis=0.8)
         evolved, _ = evolve(st, gain, 1)
-        first = first_order_output(0.8, 6)
+        first = first_order_output(0.8)
         recovered = (evolved.amplitudes - st.amplitudes) / gain
         assert np.max(np.abs(recovered - first.amplitudes)) < 1e-14
 
@@ -145,6 +144,19 @@ class TestEvolve:
             warnings.simplefilter("error")
             with pytest.raises(CutoffOverflowError):
                 evolve(st, 5.0, 10)
+
+    @pytest.mark.xfail(strict=True, reason="the boundary test reads only row and column c; H moves "
+                       "photons two at a time in the {phi, phi_perp} pair, so row c-1 leaks off the grid")
+    def test_truncation_is_refused_or_exact(self):
+        # at cutoff 4 and gain 1e-2, 1.9e-8 of the weight leaves the grid from
+        # row 3 unchecked, and the on-grid amplitudes are off by 1.0e-6
+        ref, _ = evolve(fock_state(40, 1, 0, mode_basis=0.4), 1e-2, 12)
+        try:
+            out, _ = evolve(fock_state(4, 1, 0, mode_basis=0.4), 1e-2, 12)
+        except CutoffOverflowError:
+            return
+        on_grid = ref.amplitudes.reshape(41, 41)[:5, :5].ravel()
+        assert np.max(np.abs(out.amplitudes - on_grid)) <= 1e-8
 
 
 class TestFirstOrder:

@@ -226,10 +226,9 @@ def test_fidelity_maximally_mixed():
 
 def test_fidelity_weighted_mixture():
     from pcclone.statekit import DensityOp
-    from pcclone.statekit import equatorial_orthogonal
 
     phi = equatorial_state(PlaneId.XZ, 0.8)
-    perp = equatorial_orthogonal(PlaneId.XZ, 0.8)
+    perp = equatorial_state(PlaneId.XZ, 0.8 + np.pi)
     rho = DensityOp(1, 5 / 6 * outer(phi).matrix + 1 / 6 * outer(perp).matrix)
     assert abs(fidelity(rho, phi) - 5 / 6) < 1e-14
 
