@@ -84,7 +84,7 @@ def _validate_jm(tj, tm):
 def _allowed(tj1, tj2, tm1, tm2, tJ, tM):
     """Validate the doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M, which must be
     integers (a float raises TypeError). Returns them as Python ints, as a
-    numpy integer would overflow in the factorial products, or None when a
+    numpy integer would overflow in the binomial products, or None when a
     selection rule zeroes the coefficient."""
     labels = tuple(map(operator.index, (tj1, tj2, tm1, tm2, tJ, tM)))
     tj1, tj2, tm1, tm2, tJ, tM = labels
@@ -96,17 +96,8 @@ def _allowed(tj1, tj2, tm1, tm2, tJ, tM):
     return labels if allowed else None
 
 
-# n! and C(2n, n) at index n, grown on demand: the only state kept between calls
-_FACTORIALS = [1]
+# C(2n, n) at index n, grown on demand: the only state kept between calls
 _CENTRAL_BINOMIALS = [1]
-
-
-def _factorials(n):
-    """The shared table of k! for every k <= n."""
-    table = _FACTORIALS
-    for k in range(len(table), n + 1):
-        table.append(table[-1] * k)
-    return table
 
 
 def _central_binomials(P):
@@ -121,21 +112,22 @@ def _racah(a, b, x, y, c, z):
     """<j1 m1; j2 m2 | J M> as the reduced ``SignedSqrtRational`` (sign, n, d).
 
     Doubled labels 2j1, 2j2, 2m1, 2m2, 2J, 2M that pass ``_allowed``; (0, 0, 1)
-    for a zero. Racah's closed form on plain integers: the alternating sum over
-    one common denominator, times the square root of a rational prefactor.
+    for a zero. Racah's sum in binomials: with n = j1+j2-J, s1 = j1-j2+J,
+    s2 = j2-j1+J, p = j1-m1 and q = j2+m2 it is Z / (n! s1! s2!) for the integer
+    Z = sum_k (-1)^k C(n,k) C(s1,p-k) C(s2,q-k), and the coefficient is sign(Z)
+    sqrt(Z^2 C(2j1,n) C(2j2,n) / (C(j1+j2+J+1,n) C(2j1,p) C(2j2,j2-m2) C(2J,J-M))).
     """
-    # every factorial argument below is whole once _allowed has passed
-    n1, n2, n3 = (a + b - c) // 2, (a - b + c) // 2, (b - a + c) // 2
-    p1, p2, q1, q2 = (a - x) // 2, (b + y) // 2, (c - b + x) // 2, (c - a - y) // 2
-    f = _factorials((a + b + c) // 2 + 1)
-    pre_num = ((c + 1) * f[n1] * f[n2] * f[n3] * f[(c + z) // 2] * f[(c - z) // 2]
-               * f[p1] * f[(a + x) // 2] * f[(b - y) // 2] * f[p2])
-    ks = range(max(0, -q1, -q2), min(n1, p1, p2) + 1)
-    dens = [f[k] * f[n1 - k] * f[p1 - k] * f[p2 - k] * f[q1 + k] * f[q2 + k] for k in ks]
-    common = math.lcm(*dens)
-    num = sum((-1) ** k * (common // d) for k, d in zip(ks, dens))
-    sign = (num > 0) - (num < 0)
-    return _scaled((sign, pre_num, f[n1 + n2 + n3 + 1]), num * num, common * common)
+    # every binomial argument below is whole once _allowed has passed
+    n, s1, s2 = (a + b - c) // 2, (a - b + c) // 2, (b - a + c) // 2
+    p, q = (a - x) // 2, (b + y) // 2
+    total = 0
+    for k in range(max(0, p - s1, q - s2), min(n, p, q) + 1):
+        term = comb(n, k) * comb(s1, p - k) * comb(s2, q - k)
+        total += -term if k % 2 else term
+    sign = (total > 0) - (total < 0)
+    den = (comb((a + b + c) // 2 + 1, n) * comb(a, p)
+           * comb(b, (b - y) // 2) * comb(c, (c - z) // 2))
+    return _scaled((sign, comb(a, n) * comb(b, n), den), total * total, 1)
 
 
 def cg(tj1, tj2, tm1, tm2, tJ, tM):
@@ -260,21 +252,26 @@ def _dicke_sums(P):
 
     M = 2P-1, j = P-1-k, c_n = C(2n, n) read from the shared table. Each
     unordered pair k < j is multiplied once. With w = 2n+1, w_k + w_j = 2P and
-    w_k^2 + w_j^2 = 4P^2 - 2 w_k w_j, so the pass sums S = sum c_k c_j and
-    S_w = sum c_k c_j w_k w_j, and T = 2P S, W = 4P^2 S - 2 S_w; odd P adds
-    the middle term k = j once. d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so both
-    sums run on integers near 4^P rather than near M!.
+    w_k^2 + w_j^2 = 4P^2 - 2 w_k w_j, so T = 2P S and W = 4P^2 S - 2 S_w for
+    S = sum a_k and S_w = sum a_k w_k w_j, a_k = c_k c_j over k < h = P//2; odd
+    P adds the middle term k = j once. With r = h-k, w_k w_j = (u-2r) (v+2r) for
+    u = 2h+1 and v = 2P-2h-1, so S_w = uv A + 2 (u-v) B - 4 (2C - B) from the
+    running sums A = sum a_k, B = sum r a_k and C = sum r (r+1)/2 a_k.
+    d_k^2 = 2 (P-1)!^2 t_k / ((P+1) M!), so all sums run on integers near 4^P
+    rather than near M!.
     """
     table = _central_binomials(P)
-    pairs = weighted_pairs = 0
-    for k in range(P // 2):
-        pair = table[k] * table[P - 1 - k]
-        pairs += pair
-        weighted_pairs += pair * ((2 * k + 1) * (2 * P - 2 * k - 1))
+    h = P // 2
+    pairs = ramp = wedge = 0  # A, B, C: a_k enters ramp r times and wedge r (r+1)/2 times
+    for k in range(h):
+        pairs += table[k] * table[P - 1 - k]
+        ramp += pairs
+        wedge += ramp
+    u, v = 2 * h + 1, 2 * P - 2 * h - 1
+    weighted_pairs = u * v * pairs + 2 * (u - v) * ramp - 4 * (2 * wedge - ramp)
     total, weighted = 2 * P * pairs, 4 * P * P * pairs - 2 * weighted_pairs
     if P % 2:
-        mid = P // 2
-        term = table[mid] * table[mid] * P  # w = 2 mid + 1 = P
+        term = table[h] * table[h] * P  # the middle term: k = j = h, w = 2h + 1 = P
         total += term
         weighted += term * P
     return total, weighted
@@ -330,7 +327,7 @@ def fidelity_formula(kind, N, M=None):
             return Fraction(N + 1, N + 2)
         if M < N:
             raise ValueError("universal requires N <= M")
-        return Fraction(N + 1 + Fraction(N, M), N + 2)
+        return Fraction(M * (N + 1) + N, M * (N + 2))
     if kind == "phase_estimation":
         if N != 1:
             raise ValueError("phase estimation fidelity is only tabulated for N=1")
@@ -342,5 +339,5 @@ def fidelity_formula(kind, N, M=None):
             return Fraction(3, 4)
         if M % 2 == 0 or M < 1:
             raise ValueError("cov_odd requires odd M >= 1")
-        return Fraction(1, 2) * (1 + Fraction(M + 1, 2 * M))
+        return Fraction(3 * M + 1, 4 * M)  # (1 + (M+1)/(2M)) / 2
     raise ValueError(f"unknown fidelity kind {kind!r}")

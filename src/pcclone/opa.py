@@ -88,7 +88,8 @@ def _apply_hamiltonian(basis, cutoff, amps):
     else:
         phi = float(basis)
         lead = 0.5j * np.exp(-1j * phi)
-        terms = [(2, 0, lead), (0, 2, -lead * np.exp(2j * phi))]
+        # -lead e^{2i phi}, written without 2 phi, which overflows near the float limit
+        terms = [(2, 0, lead), (0, 2, -0.5j * np.exp(1j * phi))]
     side = cutoff + 1
     psi = amps.reshape(side, side, -1)
     out = np.zeros(psi.shape, dtype=complex)

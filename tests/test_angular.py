@@ -105,7 +105,7 @@ class TestClebschGordan:
             cg_ladder(1, 1, 1, 1, 2, 2.0)
 
     def test_numpy_integer_labels(self):
-        # a numpy label is read as a Python int, so the factorial products cannot overflow
+        # a numpy label is read as a Python int, so the binomial products cannot overflow
         for labels in ((10, 10, 2, 0, 10, 2), (40, 39, 20, 19, 79, 39)):
             as_numpy = [np.int64(t) for t in labels]
             assert cg(*as_numpy) == cg(*labels) != SSR.zero()
@@ -164,12 +164,12 @@ class TestClebschGordan:
                             assert (r.numerator, r.denominator) == (value.n, value.d)
                             assert gcd(value.n, value.d) == 1
 
-    def test_factorial_table_not_built_at_import(self):
+    def test_central_binomial_table_not_built_at_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(pcclone.__file__).resolve().parents[1]))
-        code = "import pcclone.angular as a; print(a._FACTORIALS, a._CENTRAL_BINOMIALS)"
+        code = "import pcclone.angular as a; print(a._CENTRAL_BINOMIALS)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.strip() == "[1] [1]"
+        assert out.stdout.strip() == "[1]"
 
     def test_racah_matches_cg(self):
         # every J and every m1 + m2 = M with 2j <= 10: selection-rule and accidental zeros

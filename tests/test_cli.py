@@ -349,6 +349,15 @@ class TestOpa:
         amp_30 = json.loads(out)["first_order_amp_30"]
         assert math.copysign(1, amp_30[1]) == 1
 
+    @pytest.mark.parametrize("phase", ["1e308", "-1.7e308"])
+    def test_huge_finite_phase(self, capsys, phase):
+        # 2 * phase overflows to inf near the float limit; a finite phase must still run
+        code, out, err = run_cli(capsys, "opa", f"--phase={phase}", "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert abs(payload["amp_ratio_magnitude"] - 3 ** 0.5) < 1e-10
+        assert abs(payload["reduced_fidelity"] - 5 / 6) < 1e-9
+
     def test_bad_order(self, capsys):
         code, _, _ = run_cli(capsys, "opa", "--order", "0")
         assert code == 2

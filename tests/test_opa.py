@@ -16,7 +16,7 @@ from pcclone.opa import (
     hamiltonian_in_rotated_modes,
     photon_reduced_density,
 )
-from pcclone.statekit import CapacityError, Ket, fidelity
+from pcclone.statekit import CapacityError, PlaneId, equatorial_state, fidelity
 
 
 def low_sector_state(cutoff, mode_basis, rng):
@@ -26,14 +26,6 @@ def low_sector_state(cutoff, mode_basis, rng):
     low = idx // (cutoff + 1) + idx % (cutoff + 1) <= cutoff - 2
     amps = low * (rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
     return FockVec(cutoff, amps / np.linalg.norm(amps), mode_basis)
-
-
-def qubit_phi(phase):
-    return Ket(1, np.array([1, np.exp(1j * phase)]) / np.sqrt(2))
-
-
-def qubit_phi_perp(phase):
-    return Ket(1, np.array([-np.exp(-1j * phase), 1]) / np.sqrt(2))
 
 
 class TestFockState:
@@ -185,17 +177,17 @@ class TestFirstOrder:
     @pytest.mark.parametrize("phase", [0.0, 1.1, 4.4])
     def test_reduced_fidelity(self, phase):
         rho = photon_reduced_density(first_order_output(phase))
-        assert abs(fidelity(rho, qubit_phi(phase)) - 5 / 6) < 1e-12
+        assert abs(fidelity(rho, equatorial_state(PlaneId.XY, phase)) - 5 / 6) < 1e-12
 
 
 class TestReducedDensity:
     def test_single_photon(self):
         rho = photon_reduced_density(fock_state(4, 1, 0, mode_basis=0.6))
-        assert abs(fidelity(rho, qubit_phi(0.6)) - 1) < 1e-12
+        assert abs(fidelity(rho, equatorial_state(PlaneId.XY, 0.6)) - 1) < 1e-12
 
     def test_two_orthogonal_photons(self):
         rho = photon_reduced_density(fock_state(4, 0, 2, mode_basis=0.6))
-        assert abs(fidelity(rho, qubit_phi_perp(0.6)) - 1) < 1e-12
+        assert abs(fidelity(rho, equatorial_state(PlaneId.XY, 0.6 + np.pi)) - 1) < 1e-12
 
     def test_hv_basis(self):
         rho = photon_reduced_density(fock_state(4, 2, 0))
@@ -210,7 +202,7 @@ class TestReducedDensity:
         in_sector = idx // 9 + idx % 9 == N
         sector = FockVec(8, evolved.amplitudes * in_sector, phase)
         rho = photon_reduced_density(sector)
-        assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
+        assert abs(fidelity(rho, equatorial_state(PlaneId.XY, phase)) - (3 * N + 1) / (4 * N)) < 1e-10
 
     @pytest.mark.parametrize("N", range(3, 20, 2))
     def test_sector_of_amplifier_evolution(self, N):
@@ -219,7 +211,7 @@ class TestReducedDensity:
         idx = np.arange(21 ** 2)
         in_sector = idx // 21 + idx % 21 == N
         rho = photon_reduced_density(FockVec(20, evolved.amplitudes * in_sector, phase))
-        assert abs(fidelity(rho, qubit_phi(phase)) - (3 * N + 1) / (4 * N)) < 1e-10
+        assert abs(fidelity(rho, equatorial_state(PlaneId.XY, phase)) - (3 * N + 1) / (4 * N)) < 1e-10
 
     def test_mixed_sector_rejected(self):
         amps = np.zeros(25, dtype=complex)
